@@ -7,7 +7,7 @@
 //!   sections.
 //! * `begin_finish_threads/N`: the same cycle hammered from N concurrent
 //!   threads on one node, reported per-transaction — flat scaling here is
-//!   what makes `fig16_scalability --threads` scale.
+//!   what lets coordinator threads scale.
 //! * `oat_scan`: the wait-free oldest-active-timestamp minimum scan the GC
 //!   watermark traffic performs every control round.
 //! * `local_read`: a 1-key read-only transaction against a local primary —

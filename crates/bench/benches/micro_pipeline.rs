@@ -4,8 +4,7 @@
 //! The engine runs a zero-latency model, so drivers' completion deadlines
 //! expire the moment they are issued: the reactor never sleeps, and the
 //! measured time is submit + heap churn + phase issue + install drain —
-//! the serial fraction the Amdahl section of `bench_commit_pipeline`
-//! extrapolates from. Throughput is reported per element (per commit), so
+//! the per-commit CPU that bounds a saturated pipeline. Throughput is reported per element (per commit), so
 //! the depth-32 row directly shows what deeper pipelines cost in scheduler
 //! overhead once flight time is out of the picture.
 

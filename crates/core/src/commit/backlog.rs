@@ -313,15 +313,21 @@ impl Backlog {
         self.logs[dest.index()].lock().len()
     }
 
-    /// Applies-and-discards every entry of `coordinator` at `dest` with a
-    /// write timestamp at or below `below`. Returns how many entries were
-    /// truncated. Entries of a dead destination are discarded unapplied (its
-    /// replicas are gone; promotion already replayed what it needed).
-    fn truncate_log(&self, coordinator: NodeId, dest: NodeId, below: u64) -> usize {
+    /// Raises the watermark delivered from `coordinator` to `dest` to `below`
+    /// and applies-and-discards every covered entry; returns false when
+    /// `below` had already been delivered. Both happen under the log lock, so
+    /// whoever finds the watermark delivered and then reads the log (which
+    /// takes the same lock) never sees an entry it covers. Entries of a dead
+    /// destination are discarded unapplied (its replicas are gone; promotion
+    /// already replayed what it needed).
+    fn truncate_log(&self, coordinator: NodeId, dest: NodeId, below: u64) -> bool {
         let node = &self.nodes[dest.index()];
         let alive = node.is_alive();
         let mut log = self.logs[dest.index()].lock();
-        let before = log.len();
+        let delivered = &self.trunc[coordinator.index()].delivered[dest.index()];
+        if delivered.fetch_max(below, Ordering::AcqRel) >= below {
+            return false;
+        }
         log.retain(|e| {
             if e.coordinator != coordinator || e.write_ts > below {
                 return true;
@@ -340,7 +346,7 @@ impl Backlog {
             }
             false
         });
-        before - log.len()
+        true
     }
 
     /// Replays the untruncated log entries a just-promoted primary holds for
@@ -470,11 +476,11 @@ impl Backlog {
         let coordinator = engine.id();
         let st = &self.trunc[coordinator.index()];
         let w = st.watermark.load(Ordering::Acquire);
-        let prev = st.delivered[dest.index()].fetch_max(w, Ordering::AcqRel);
-        if prev >= w {
+        if st.delivered[dest.index()].load(Ordering::Acquire) >= w
+            || !self.truncate_log(coordinator, dest, w)
+        {
             return;
         }
-        self.truncate_log(coordinator, dest, w);
         if standalone {
             // A real TRUNCATE message: the idle-connection fallback.
             engine.meter.rpc_batch_deferred(1, 16);

@@ -6,8 +6,8 @@
 //!
 //! # The three-stage commit lifecycle
 //!
-//! With [`EngineConfig::early_ack`](crate::EngineConfig::early_ack) (the
-//! default for pipelined FaRMv2 dispatch) a commit is split into:
+//! A FaRMv2 commit (single- or multi-version, serializable or SI) is split
+//! into:
 //!
 //! 1. **Critical path** — `Lock → AcquireWriteTs → Validate →
 //!    ReplicateBackups`. The transaction is durably committed once every
@@ -28,9 +28,10 @@
 //!    (with a timed flush for idle connections), and delivery *applies* the
 //!    backup's redo-log records to its replica.
 //!
-//! Under [`DispatchMode::Serial`] (the A/B baseline), in baseline mode, and
-//! in operation-logging mode the driver keeps the fully synchronous phase
-//! order `... → InstallPrimary → Truncate → [OperationLog] → Done`.
+//! The FaRMv1 baseline (its write timestamps are install results) and
+//! operation-logging mode (durability there is the op-log append) keep the
+//! fully synchronous tail `... → InstallPrimary → Truncate → [OperationLog]
+//! → Done`.
 //!
 //! # Resumable stepping
 //!
@@ -46,28 +47,25 @@
 //! `advance`-then-wait in a loop.
 //!
 //! Phase order (serializable):
-//! `Lock → AcquireWriteTs → Validate → ReplicateBackups → ...`. Under
-//! pipelined dispatch the write-timestamp **uncertainty wait is deferred**:
-//! `AcquireWriteTs` only takes the interval's upper bound, and the wait runs
-//! while the COMMIT-BACKUP writes are in flight (Figure 4) — the commit pays
+//! `Lock → AcquireWriteTs → Validate → ReplicateBackups → ...`. The
+//! write-timestamp **uncertainty wait is deferred**: `AcquireWriteTs` only
+//! takes the interval's upper bound, and the wait runs while the
+//! COMMIT-BACKUP writes are in flight (Figure 4) — the commit pays
 //! `max(uncertainty, replication)` instead of their sum.
 //!
 //! Phase order (snapshot isolation): validation is skipped and the
 //! write-timestamp acquisition itself rides the replication flight window:
 //! `Lock → ReplicateBackups (acquiring the write timestamp in-flight) → ...`.
-//! (Serial dispatch keeps the PR-1 order `Lock → ReplicateBackups →
-//! AcquireWriteTs → ...`.)
 //!
 //! Phase order (baseline): no timestamps; every read is validated:
 //! `Lock → Validate → ReplicateBackups → InstallPrimary → Truncate → Done`.
 //!
 //! Every phase that talks to other machines sends **one metered message per
 //! destination** (see [`super::plan::CommitPlan`]), and all of a phase's
-//! messages are issued before any completion is awaited: under
-//! [`DispatchMode::Concurrent`] (the default) the phase costs the *maximum*
-//! destination latency, not the sum, and the destination-side work (lock
-//! acquisition, old-version copies, installs) runs inside the verbs' work
-//! closures. Any failure routes through the single
+//! messages are issued before any completion is awaited: the phase costs
+//! the *maximum* destination latency, not the sum, and the destination-side
+//! work (lock acquisition, old-version copies, installs) runs inside the
+//! verbs' work closures. Any failure routes through the single
 //! [`unwind`](super::unwind) step — the completion set always drains every
 //! in-flight sibling first, so unwind sees the locks of *every* destination,
 //! releases them in descending global address order, and rolls back
@@ -99,14 +97,14 @@ pub enum CommitPhase {
     /// Batched LOCK messages to every destination primary; in multi-version
     /// mode the primaries copy current versions into old-version memory.
     Lock,
-    /// COMMIT-BACKUP: one RDMA write per backup destination, NIC-acked. In
-    /// pipelined dispatch the write-timestamp uncertainty wait (and, for SI,
-    /// the acquisition itself) runs while these writes are in flight. With
-    /// early-ack the commit **completes** at the end of this phase.
+    /// COMMIT-BACKUP: one RDMA write per backup destination, NIC-acked. The
+    /// write-timestamp uncertainty wait (and, for SI, the acquisition
+    /// itself) runs while these writes are in flight. With early-ack the
+    /// commit **completes** at the end of this phase.
     ReplicateBackups,
-    /// Acquire the write timestamp. Under pipelined serializable dispatch
-    /// only the upper bound is taken here; the uncertainty wait is deferred
-    /// into [`CommitPhase::ReplicateBackups`].
+    /// Acquire the write timestamp (serializable FaRMv2): only the upper
+    /// bound is taken here; the uncertainty wait is deferred into
+    /// [`CommitPhase::ReplicateBackups`].
     AcquireWriteTs,
     /// Read validation (serializable FaRMv2: unwritten reads; baseline:
     /// every read).
@@ -206,20 +204,19 @@ pub struct CommitDriver {
     locked: Vec<HeldLock>,
     write_ts: u64,
     baseline: bool,
+    /// FaRMv2 snapshot isolation: no VALIDATE, and the write timestamp is
+    /// acquired inside the ReplicateBackups flight window.
     si: bool,
-    dispatch: DispatchMode,
     /// Whether this commit completes at the end of ReplicateBackups, leaving
-    /// installs and truncation to the backlog (stages 2 and 3).
+    /// installs and truncation to the backlog (stages 2 and 3): every FaRMv2
+    /// commit outside operation-logging mode.
     early_ack: bool,
     /// Registration of this transaction in the engine's active table,
     /// withdrawn exactly once when the driver seals.
     active: ActiveToken,
-    /// Whether the write timestamp has been acquired (pipelined SI folds the
-    /// acquisition into the ReplicateBackups flight window).
-    ts_acquired: bool,
-    /// Deferred strict-write-timestamp wait target (pipelined serializable
-    /// dispatch): the upper bound taken in `AcquireWriteTs`, waited out while
-    /// COMMIT-BACKUP is in flight.
+    /// Deferred strict-write-timestamp wait target (serializable): the upper
+    /// bound taken in `AcquireWriteTs`, waited out while COMMIT-BACKUP is in
+    /// flight.
     deferred_wait_target: Option<u64>,
     /// Whether `write_ts` is reserved in the coordinator's truncation
     /// in-flight set (early-ack only; withdrawn on install completion or
@@ -260,12 +257,8 @@ impl CommitDriver {
     ) -> CommitDriver {
         let config = engine.config();
         let baseline = config.mode.is_baseline();
-        let dispatch = config.dispatch;
         let si = !baseline && opts.isolation == IsolationLevel::SnapshotIsolation;
-        let early_ack = config.early_ack
-            && !baseline
-            && !config.operation_logging
-            && dispatch != DispatchMode::Serial;
+        let early_ack = !baseline && !config.operation_logging;
         CommitDriver {
             engine,
             opts,
@@ -278,10 +271,8 @@ impl CommitDriver {
             write_ts: 0,
             baseline,
             si,
-            dispatch,
             early_ack,
             active,
-            ts_acquired: false,
             deferred_wait_target: None,
             trunc_registered: false,
             pending: None,
@@ -293,12 +284,6 @@ impl CommitDriver {
     /// The phase the driver is currently in.
     pub fn phase(&self) -> CommitPhase {
         self.phase
-    }
-
-    /// Whether the driver fans its per-destination batches out through a
-    /// completion set (anything but [`DispatchMode::Serial`]).
-    fn pipelined(&self) -> bool {
-        self.dispatch != DispatchMode::Serial
     }
 
     /// Drives the state machine to completion, blocking on each phase's
@@ -433,11 +418,7 @@ impl CommitDriver {
                     CommitPhase::AcquireWriteTs
                 })
             }
-            Pending::AcquireWriteTs => Step::Next(if self.si {
-                CommitPhase::InstallPrimary
-            } else {
-                CommitPhase::Validate
-            }),
+            Pending::AcquireWriteTs => Step::Next(CommitPhase::Validate),
             Pending::Validate(completions) => {
                 let failure = completions.into_iter().filter_map(|c| c.value).min();
                 if let Some(addr) = failure {
@@ -469,13 +450,7 @@ impl CommitDriver {
                     // the background.
                     self.early_ack_finish()
                 } else {
-                    Step::Next(if !self.baseline && self.si && !self.ts_acquired {
-                        // Serial SI keeps the PR-1 order: acquire after the
-                        // replication latency has been paid.
-                        CommitPhase::AcquireWriteTs
-                    } else {
-                        CommitPhase::InstallPrimary
-                    })
+                    Step::Next(CommitPhase::InstallPrimary)
                 }
             }
             Pending::Install(completions) => {
@@ -511,9 +486,9 @@ impl CommitDriver {
     // ------------------------------------------------------------------
 
     /// Sends one LOCK batch per destination primary — **all destinations at
-    /// once** under pipelined dispatch. Primary-side LOCK processing (batch
-    /// lock acquisition, multi-version old-version copies) runs inside the
-    /// per-destination verb closures.
+    /// once**. Primary-side LOCK processing (batch lock acquisition,
+    /// multi-version old-version copies) runs inside the per-destination
+    /// verb closures.
     fn issue_lock(&mut self) -> Option<Instant> {
         let engine = Arc::clone(&self.engine);
         let stats = &engine.stats;
@@ -550,7 +525,8 @@ impl CommitDriver {
                 set.issue(primary, Verb::Rpc, work);
             }
         }
-        let (outcomes, deadline) = set.complete_deferred(self.dispatch, Some(engine.meter.stats()));
+        let (outcomes, deadline) =
+            set.complete_deferred(DispatchMode::Concurrent, Some(engine.meter.stats()));
         self.pending = Some(Pending::Lock(outcomes));
         deadline
     }
@@ -584,50 +560,35 @@ impl CommitDriver {
     // Write timestamp
     // ------------------------------------------------------------------
 
-    /// Acquires the write timestamp, waiting out the uncertainty as the mode
-    /// requires. `overlapped` marks waits performed while COMMIT-BACKUP
-    /// writes were in flight (for the overlap statistics). Serializable
-    /// transactions (and strict SI transactions) wait; non-strict SI takes
+    /// Snapshot-isolation acquisition, run while the COMMIT-BACKUP writes are
+    /// in flight (`overlapped` says whether any actually are, for the overlap
+    /// statistics): strict SI waits out the uncertainty, non-strict SI takes
     /// the upper bound without waiting. The `unsafe_skip_write_wait`
-    /// ablation skips the wait entirely, which breaks serializability
-    /// (Section 7.3).
-    fn acquire_write_ts(&mut self, si: bool, overlapped: bool) {
-        let clock = Arc::clone(self.engine.handle().clock());
-        self.ts_acquired = true;
-        if self.engine.config().unsafe_skip_write_wait {
-            let (ts, _) = clock.get_ts(TsMode::NonStrictUpper);
-            self.write_ts = ts.as_nanos();
-            self.register_trunc();
-            return;
-        }
-        let mode = if si && !self.opts.strict {
+    /// ablation never waits, which breaks strictness (Section 7.3).
+    fn acquire_write_ts(&mut self, overlapped: bool) {
+        let mode = if self.engine.config().unsafe_skip_write_wait || !self.opts.strict {
             TsMode::NonStrictUpper
         } else {
             TsMode::StrictWait
         };
-        let (ts, waited) = clock.get_ts(mode);
+        let (ts, waited) = self.engine.handle().clock().get_ts(mode);
         self.record_write_wait(waited, overlapped);
         self.write_ts = ts.as_nanos();
         self.register_trunc();
     }
 
-    /// Pipelined serializable acquisition: take the interval's upper bound
-    /// **without waiting** and remember it; the uncertainty wait happens in
-    /// the ReplicateBackups phase, overlapping the COMMIT-BACKUP flight
-    /// window (Figure 4). Writes are still only exposed (installed) after
-    /// the wait completes, so strictness is preserved.
+    /// Serializable acquisition: take the interval's upper bound **without
+    /// waiting** and remember it; the uncertainty wait happens in the
+    /// ReplicateBackups phase, overlapping the COMMIT-BACKUP flight window
+    /// (Figure 4). Writes are still only exposed (installed) after the wait
+    /// completes, so strictness is preserved. The `unsafe_skip_write_wait`
+    /// ablation skips the wait entirely, which breaks serializability
+    /// (Section 7.3).
     fn defer_write_ts(&mut self) {
-        let clock = Arc::clone(self.engine.handle().clock());
-        self.ts_acquired = true;
-        if self.engine.config().unsafe_skip_write_wait {
-            let (ts, _) = clock.get_ts(TsMode::NonStrictUpper);
-            self.write_ts = ts.as_nanos();
-            self.register_trunc();
-            return;
+        self.write_ts = self.engine.handle().clock().get_ts_deferred().as_nanos();
+        if !self.engine.config().unsafe_skip_write_wait {
+            self.deferred_wait_target = Some(self.write_ts);
         }
-        let ts = clock.get_ts_deferred();
-        self.write_ts = ts.as_nanos();
-        self.deferred_wait_target = Some(ts.as_nanos());
         self.register_trunc();
     }
 
@@ -655,16 +616,11 @@ impl CommitDriver {
         }
     }
 
-    /// Local-only phase: acquire (or, pipelined serializable, defer) the
-    /// write timestamp. Completes immediately.
+    /// Local-only phase (serializable FaRMv2): take the write timestamp's
+    /// upper bound now; the uncertainty is waited out while COMMIT-BACKUP
+    /// flies. Completes immediately.
     fn issue_acquire_write_ts(&mut self) -> Option<Instant> {
-        if self.pipelined() && !self.si {
-            // Serializable pipeline: take the upper bound now and wait out
-            // the uncertainty while COMMIT-BACKUP flies.
-            self.defer_write_ts();
-        } else {
-            self.acquire_write_ts(self.si, false);
-        }
+        self.defer_write_ts();
         self.pending = Some(Pending::AcquireWriteTs);
         None
     }
@@ -675,11 +631,11 @@ impl CommitDriver {
 
     /// Read validation with one-sided header reads, batched **per destination
     /// primary** exactly like the LOCK path — and fanned out to all
-    /// destinations at once under pipelined dispatch. FaRMv2 (serializable)
-    /// validates reads that were not written; the baseline validates every
-    /// read — including those of read-only transactions — against the exact
-    /// version observed. The failure reported is the smallest failing
-    /// address, whatever order the destinations completed in.
+    /// destinations at once. FaRMv2 (serializable) validates reads that were
+    /// not written; the baseline validates every read — including those of
+    /// read-only transactions — against the exact version observed. The
+    /// failure reported is the smallest failing address, whatever order the
+    /// destinations completed in.
     fn issue_validate(&mut self) -> Result<Option<Instant>, TxError> {
         // Written reads need no validation. Small plans (the common
         // OLTP case) probe the plan directly instead of materializing a
@@ -749,7 +705,7 @@ impl CommitDriver {
             }
         }
         let (completions, deadline) =
-            set.complete_deferred(self.dispatch, Some(engine.meter.stats()));
+            set.complete_deferred(DispatchMode::Concurrent, Some(engine.meter.stats()));
         self.pending = Some(Pending::Validate(completions));
         Ok(deadline)
     }
@@ -759,12 +715,12 @@ impl CommitDriver {
     // ------------------------------------------------------------------
 
     /// One RDMA write per **backup destination** carrying the transaction's
-    /// entire payload for that machine, acknowledged by the NIC only. Under
-    /// pipelined dispatch this phase also performs the pending
-    /// write-timestamp work *while the writes are in flight*: the deferred
-    /// serializable uncertainty wait, or the whole SI acquisition — the
-    /// Figure 4 overlap. The phase then costs
-    /// `max(replication, uncertainty)` instead of their sum.
+    /// entire payload for that machine, acknowledged by the NIC only. For
+    /// FaRMv2 this phase also performs the pending write-timestamp work
+    /// *while the writes are in flight*: the deferred serializable
+    /// uncertainty wait, or the whole SI acquisition — the Figure 4 overlap.
+    /// The phase then costs `max(replication, uncertainty)` instead of their
+    /// sum.
     fn issue_replicate_backups(&mut self) -> Option<Instant> {
         let engine = Arc::clone(&self.engine);
         let mut set: CompletionSet<'_, ()> = CompletionSet::new(engine.meter.latency_model());
@@ -780,15 +736,15 @@ impl CommitDriver {
             }
         }
         let mut wait_deadline: Option<Instant> = None;
-        if self.pipelined() && !self.baseline {
+        if !self.baseline {
             let overlapped = !set.is_empty();
-            if !self.ts_acquired {
-                // Pipelined SI: the acquisition (and its wait, for strict
-                // SI) rides the replication flight window.
-                self.acquire_write_ts(self.si, overlapped);
+            if self.si {
+                // SI: the acquisition (and its wait, for strict SI) rides
+                // the replication flight window.
+                self.acquire_write_ts(overlapped);
             } else if let Some(&target) = self.deferred_wait_target.as_ref() {
-                // Pipelined serializable: the deferred uncertainty wait is
-                // **folded into the phase deadline** rather than spun out
+                // Serializable: the deferred uncertainty wait is **folded
+                // into the phase deadline** rather than spun out
                 // inline — a pipeline thread stays free to advance its
                 // other flights, and the phase still costs
                 // `max(replication, uncertainty)`. The residual (normally
@@ -807,7 +763,8 @@ impl CommitDriver {
                 }
             }
         }
-        let (_, flight_deadline) = set.complete_deferred(self.dispatch, Some(engine.meter.stats()));
+        let (_, flight_deadline) =
+            set.complete_deferred(DispatchMode::Concurrent, Some(engine.meter.stats()));
         self.pending = Some(Pending::Replicate);
         match (flight_deadline, wait_deadline) {
             (Some(flight), Some(wait)) => Some(flight.max(wait)),
@@ -919,10 +876,10 @@ impl CommitDriver {
     // ------------------------------------------------------------------
 
     /// One batched install message per destination primary, all destinations
-    /// in flight together under pipelined dispatch: updates install and
-    /// unlock, frees tombstone (multi-version) or clear (single-version),
-    /// allocs initialize. Within each destination the held locks apply in
-    /// ascending address order (the acquisition order).
+    /// in flight together: updates install and unlock, frees tombstone
+    /// (multi-version) or clear (single-version), allocs initialize. Within
+    /// each destination the held locks apply in ascending address order (the
+    /// acquisition order).
     fn issue_install_primary(&mut self) -> Option<Instant> {
         let engine = Arc::clone(&self.engine);
         // Message accounting: one RDMA write per destination primary.
@@ -977,11 +934,10 @@ impl CommitDriver {
             }
         }
         let (completions, deadline) =
-            set.complete_deferred(self.dispatch, Some(engine.meter.stats()));
+            set.complete_deferred(DispatchMode::Concurrent, Some(engine.meter.stats()));
         // A transaction that only alloc+freed objects in some region has
         // cancelled allocations at a primary with *no* plan group (cancelled
-        // intents carry no message): return those slots here, as the serial
-        // driver always did.
+        // intents carry no message): return those slots here.
         for addrs in cancelled.into_values() {
             for addr in addrs {
                 if let Ok((_p, region)) = engine.primary_region_of(addr) {
@@ -998,10 +954,10 @@ impl CommitDriver {
     // ------------------------------------------------------------------
 
     /// Backups apply the new versions to their replicas — one truncation
-    /// message per backup destination, all in flight together under
-    /// pipelined dispatch. (In operation-logging mode data is not
-    /// replicated, so this is a no-op; under early-ack this phase never
-    /// runs — truncation piggybacks as a watermark instead.)
+    /// message per backup destination, all in flight together. (In
+    /// operation-logging mode data is not replicated, so this is a no-op;
+    /// under early-ack this phase never runs — truncation piggybacks as a
+    /// watermark instead.)
     fn issue_truncate(&mut self) -> Option<Instant> {
         self.pending = Some(Pending::Truncate);
         if self.engine.config().operation_logging {
@@ -1046,7 +1002,8 @@ impl CommitDriver {
                 set.issue(backup, Verb::Rpc, work);
             }
         }
-        let (_, deadline) = set.complete_deferred(self.dispatch, Some(engine.meter.stats()));
+        let (_, deadline) =
+            set.complete_deferred(DispatchMode::Concurrent, Some(engine.meter.stats()));
         deadline
     }
 
@@ -1056,7 +1013,7 @@ impl CommitDriver {
 
     /// Operation-logging mode: append the transaction description to
     /// `replication` in-memory logs spread over the cluster (Section 5.6),
-    /// all replicas in flight together under pipelined dispatch.
+    /// all replicas in flight together.
     fn issue_operation_log(&mut self) -> Option<Instant> {
         let engine = Arc::clone(&self.engine);
         let writes: Vec<Addr> = self
@@ -1098,7 +1055,8 @@ impl CommitDriver {
                 set.issue(target, Verb::RdmaWrite, || ());
             }
         }
-        let (_, deadline) = set.complete_deferred(self.dispatch, Some(engine.meter.stats()));
+        let (_, deadline) =
+            set.complete_deferred(DispatchMode::Concurrent, Some(engine.meter.stats()));
         self.pending = Some(Pending::OperationLog);
         deadline
     }
@@ -1176,8 +1134,7 @@ impl Drop for CommitDriver {
 
 // ----------------------------------------------------------------------
 // Destination-side verb work (runs inside completion-set closures, on the
-// coordinator thread or on worker threads standing in for the destination
-// machines' cores)
+// coordinator thread standing in for the destination machines' cores)
 // ----------------------------------------------------------------------
 
 /// Primary-side LOCK processing for one destination: acquire every group's

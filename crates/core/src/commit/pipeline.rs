@@ -17,20 +17,18 @@
 //! expired prefix — O(ready · log n), not O(depth) — and reads the clock
 //! once per sweep instead of once per flight. When every flight is on the
 //! wire the reactor sleeps once for the whole *batch* of deadlines that
-//! fall within a configurable wake quantum
-//! ([`EngineConfig::pipeline_wake_quantum`](crate::EngineConfig)): it
-//! targets the latest deadline inside the window, so one wakeup advances
-//! every flight in the batch. No verb ever completes early — the sleep
-//! target is itself a deadline, and all batched deadlines are at or before
-//! it. Dead time (every in-flight commit waiting on the wire) is spent
+//! fall within a 2 µs wake quantum: it targets the latest deadline inside
+//! the window, so one wakeup advances every flight in the batch. No verb
+//! ever completes early — the sleep target is itself a deadline, and all
+//! batched deadlines are at or before it. Dead time (every in-flight commit waiting on the wire) is spent
 //! draining the engine's pending-install backlog, exactly where a real
 //! worker would process its completion-queue backlog.
 //!
 //! The reactor keeps per-flight cycle accounting ([`PipelineTimings`]):
 //! wall-clock splits into *issue* (advancing drivers — the serial CPU),
 //! *wait* (deadline sleeps), and *drain* (backlog installs), which is what
-//! the Amdahl analysis in `bench_commit_pipeline` uses to measure the
-//! serial fraction and predict multi-core speedup. For the multi-worker
+//! the `benchmark/` package's `kv_pipeline_dc` workload reads to report the
+//! serial fraction and CPU per commit. For the multi-worker
 //! version with work-stealing, see [`PipelinePool`](super::PipelinePool).
 //!
 //! In-flight transactions of one pipeline are truly concurrent commits:
@@ -142,6 +140,24 @@ impl PipelineTimings {
     }
 }
 
+/// Wake quantum of the reactors' deadline coalescing (this pipeline's and
+/// the pool workers').
+const WAKE_QUANTUM: Duration = Duration::from_micros(2);
+
+/// The coalesced sleep target of a deadline heap: the **latest** deadline
+/// within [`WAKE_QUANTUM`] of the earliest, so one wakeup advances the whole
+/// batch. Everything batched is at or before the target, so no verb
+/// completes early.
+pub(crate) fn coalesced_target(waiting: &BinaryHeap<Waiting>) -> Option<Instant> {
+    let earliest = waiting.peek()?.wake;
+    let horizon = earliest + WAKE_QUANTUM;
+    waiting
+        .iter()
+        .map(|w| w.wake)
+        .filter(|&wake| wake <= horizon)
+        .max()
+}
+
 /// A per-thread commit pipeline; see the module docs. Built by
 /// [`NodeEngine::pipeline`]; not `Send` across submissions in spirit — it is
 /// one worker thread's multiplexer, like one FaRM thread's completion
@@ -149,7 +165,6 @@ impl PipelineTimings {
 pub struct CommitPipeline {
     engine: Arc<NodeEngine>,
     depth: usize,
-    wake_quantum: Duration,
     seq: u64,
     /// Flights ready to advance now (never issued, or handed over ready).
     /// Boxed on purpose: drivers shuttle between here, [`Waiting`] heap
@@ -167,11 +182,9 @@ impl NodeEngine {
     /// transactions in their commit critical paths concurrently (clamped to
     /// at least 1; depth 1 behaves like synchronous `commit`).
     pub fn pipeline(self: &Arc<Self>, depth: usize) -> CommitPipeline {
-        let wake_quantum = self.config().pipeline_wake_quantum;
         CommitPipeline {
             engine: Arc::clone(self),
             depth: depth.max(1),
-            wake_quantum,
             seq: 0,
             ready: Vec::new(),
             waiting: BinaryHeap::new(),
@@ -284,20 +297,9 @@ impl CommitPipeline {
                 self.timings.drain_ns += now.elapsed().as_nanos() as u64;
                 continue;
             }
-            // Coalesced sleep: target the latest deadline within the wake
-            // quantum of the earliest, so one wakeup advances the batch.
-            // Everything batched is at or before the sleep target, so no
-            // verb completes early.
-            let Some(earliest) = self.waiting.peek().map(|w| w.wake) else {
+            let Some(batch_end) = coalesced_target(&self.waiting) else {
                 continue;
             };
-            let horizon = earliest + self.wake_quantum;
-            let mut batch_end = earliest;
-            for w in self.waiting.iter() {
-                if w.wake <= horizon && w.wake > batch_end {
-                    batch_end = w.wake;
-                }
-            }
             self.timings.wakeups += 1;
             self.engine.meter.latency_model().wait_until(batch_end);
             self.timings.wait_ns += now.elapsed().as_nanos() as u64;

@@ -46,7 +46,7 @@ use crate::stats::EngineStats;
 use crate::tx::{CommitInfo, PreparedCommit, Transaction};
 
 use super::driver::{CommitDriver, DriverStep};
-use super::pipeline::{PipelineTimings, Waiting};
+use super::pipeline::{coalesced_target, PipelineTimings, Waiting};
 
 /// How many queued commits one idle worker claims from the install backlog
 /// per steal: bounded so a deep backlog cannot make it miss the next flight
@@ -153,21 +153,6 @@ impl Deck {
             return Some(flight);
         }
         None
-    }
-
-    /// The coalesced sleep target: the latest deadline within `quantum` of
-    /// the earliest (see the reactor's pump loop).
-    fn coalesced_target(&self, quantum: Duration) -> Option<Instant> {
-        let heap = self.waiting.lock().unwrap();
-        let earliest = heap.peek()?.wake;
-        let horizon = earliest + quantum;
-        let mut batch_end = earliest;
-        for w in heap.iter() {
-            if w.wake <= horizon && w.wake > batch_end {
-                batch_end = w.wake;
-            }
-        }
-        Some(batch_end)
     }
 }
 
@@ -485,7 +470,6 @@ impl std::fmt::Debug for PipelinePool {
 fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
     let engine = &shared.engine;
     let model = engine.meter.latency_model();
-    let quantum = engine.config().pipeline_wake_quantum;
     let deck = &shared.decks[me];
     // Per-worker sequence space keeps heap tie-breaks deterministic even
     // for flights that hop decks.
@@ -569,7 +553,9 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
         // reactor's batching rule); thieves may service expired flights
         // while we oversleep. Without: wait for ring work or exit.
         if deck.len() > 0 {
-            if let Some(batch_end) = deck.coalesced_target(quantum) {
+            // Bound first: the deck lock must not be held across the sleep.
+            let target = coalesced_target(&deck.waiting.lock().unwrap());
+            if let Some(batch_end) = target {
                 shared.timings.wakeups.fetch_add(1, Ordering::Relaxed);
                 let start = Instant::now();
                 model.wait_until(batch_end);

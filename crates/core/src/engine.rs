@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use farm_kernel::{Cluster, ConfigRecord, EventKind, EventLog, NodeHandle, RecoveryHooks};
 use farm_memory::{Addr, Region, RegionId};
-use farm_net::{CompletionSet, NodeId, OneSidedMeter, Verb};
+use farm_net::{CompletionSet, DispatchMode, NodeId, OneSidedMeter, Verb};
 use parking_lot::Mutex;
 
 use crate::active::{ActiveToken, ActiveTxTable};
@@ -87,7 +87,9 @@ pub struct NodeEngine {
     /// opportunistically (at `begin`, in pipeline dead time, by the
     /// background thread) and raced by helping readers.
     installs: Mutex<VecDeque<Arc<PendingInstall>>>,
-    /// O(1) emptiness check for the hot path.
+    /// Commits queued in `installs` **or claimed by a drain that is still
+    /// applying them** — the O(1) emptiness check for the hot path, and what
+    /// makes "zero" mean "everything enqueued so far is installed".
     installs_len: AtomicUsize,
     alive: AtomicBool,
 }
@@ -268,17 +270,15 @@ impl NodeEngine {
         // Publish the address index before the queue entry so a reader that
         // observes the still-held locks can already find (and help) it.
         self.backlog.index_insert(&install);
-        let mut queue = self.installs.lock();
-        queue.push_back(install);
-        // Under the queue lock, so the drain's bulk subtraction stays
-        // consistent with the queue contents.
         self.installs_len.fetch_add(1, Ordering::Release);
+        self.installs.lock().push_back(install);
     }
 
     /// Drains this engine's pending COMMIT-PRIMARY installs: every
     /// destination not already claimed by a helper is processed now.
-    /// Returns the number of destination installs this call performed. An
-    /// empty backlog costs one atomic load.
+    /// Returns the number of destination installs this call performed. A
+    /// backlog with nothing queued and nothing being applied costs one
+    /// atomic load.
     pub fn drain_pending_installs(&self) -> usize {
         self.drain_pending_installs_up_to(usize::MAX)
     }
@@ -297,22 +297,28 @@ impl NodeEngine {
         let drained: Vec<Arc<PendingInstall>> = {
             let mut queue = self.installs.lock();
             let take = queue.len().min(limit);
-            let drained: Vec<Arc<PendingInstall>> = queue.drain(..take).collect();
-            self.installs_len
-                .fetch_sub(drained.len(), Ordering::Release);
-            drained
+            queue.drain(..take).collect()
         };
-        for install in drained {
+        if drained.is_empty() {
+            // Counted but not queued: another drain is applying them.
+            return 0;
+        }
+        for install in &drained {
             for di in 0..install.dest_count() {
                 if install.install_dest(self, &self.backlog, di) {
                     done += 1;
                 }
             }
         }
+        // The claimed chunk stays counted until it is applied, so a
+        // concurrent `quiesce` never mistakes "claimed" for "installed".
+        self.installs_len
+            .fetch_sub(drained.len(), Ordering::Release);
         done
     }
 
-    /// Number of commits whose installs are still queued at this engine.
+    /// Number of commits whose installs are still queued at this engine or
+    /// claimed by a drain that has not finished applying them.
     pub fn pending_installs(&self) -> usize {
         self.installs_len.load(Ordering::Acquire)
     }
@@ -517,7 +523,7 @@ impl RecoveryHooks for EngineHooks {
         set.issue(new_backup, Verb::RdmaWrite, move || {
             backlog.catch_up_region(region, new_backup)
         });
-        let completions = set.complete(src.config().dispatch, Some(src.meter.stats()));
+        let completions = set.complete(DispatchMode::Concurrent, Some(src.meter.stats()));
         let intents: usize = completions.into_iter().map(|c| c.value).sum();
         if intents > 0 {
             EngineStats::bump(&src.stats.backups_caught_up);
@@ -678,14 +684,23 @@ impl Engine {
     /// costs one standalone flush message, exactly as the idle flusher would
     /// pay). After this, all committed state is installed at primaries and
     /// mirrored at backups — the quiescent point benchmarks and tests settle
-    /// to before inspecting replicas.
+    /// to before inspecting replicas. A barrier: installs another thread
+    /// (the background drain, a pipeline worker) has claimed but not yet
+    /// applied are waited for, so every commit acked before the call is
+    /// covered by the watermarks delivered.
     pub fn quiesce(&self) {
         // Dead nodes settle too: their queued (decided) installs are rolled
         // forward by this surviving thread and their watermarks delivered,
         // so a post-failure quiescent cluster holds no leaked locks and no
         // untruncated redo-log entries.
         for node in &self.nodes {
-            node.drain_pending_installs();
+            loop {
+                node.drain_pending_installs();
+                if node.pending_installs() == 0 {
+                    break;
+                }
+                std::thread::yield_now();
+            }
         }
         for node in &self.nodes {
             for dest in self.cluster.nodes() {

@@ -84,17 +84,9 @@ impl EngineMode {
 pub struct EngineConfig {
     /// Engine variant.
     pub mode: EngineMode,
-    /// How the commit driver and `read_many` dispatch their per-destination
-    /// message batches: serially (one destination at a time, `Σ latency` per
-    /// phase — the pre-pipelining behavior, kept for A/B benchmarking) or
-    /// through a completion set (`max latency` per phase, with the
-    /// serializable uncertainty wait overlapping COMMIT-BACKUP). The default
-    /// is [`farm_net::DispatchMode::Concurrent`].
-    pub dispatch: farm_net::DispatchMode,
     /// Injected wire latency for one-sided verbs and RPCs. Zero (the
     /// default) for raw-throughput runs; [`farm_net::LatencyModel::datacenter`]
-    /// for latency-composition experiments like Figure 13 and the commit
-    /// pipeline bench.
+    /// for latency-composition experiments like Figure 13.
     pub latency: farm_net::LatencyModel,
     /// Whether committed read-write transactions additionally append an
     /// operation-log record to `replication` in-memory logs (Section 5.6's
@@ -103,19 +95,6 @@ pub struct EngineConfig {
     /// How many times a read retries when it observes a locked head version
     /// before aborting.
     pub read_lock_retries: u32,
-    /// Early-acknowledged commits (the paper's commit completion rule): a
-    /// FaRMv2 transaction is durably committed once every COMMIT-BACKUP is
-    /// acked, so `Transaction::commit` returns there and COMMIT-PRIMARY
-    /// installs drain in the background (readers hitting a still-locked slot
-    /// of a durable transaction help complete its install). TRUNCATE stops
-    /// being a standalone message: the coordinator piggybacks a
-    /// `truncate_below` watermark on its next outgoing LOCK / VALIDATE /
-    /// COMMIT-BACKUP verb to each destination, falling back to a timed flush
-    /// when traffic is idle. Ignored under [`farm_net::DispatchMode::Serial`]
-    /// (the A/B baseline keeps the fully synchronous protocol), in baseline
-    /// mode (its write timestamps are install results) and in
-    /// operation-logging mode (durability there is the op-log append).
-    pub early_ack: bool,
     /// How long a raised-but-undelivered truncation watermark may sit before
     /// the background flusher sends it as a standalone message. Under any
     /// steady commit traffic the watermark piggybacks on protocol verbs well
@@ -128,14 +107,6 @@ pub struct EngineConfig {
     pub op_log_capacity: usize,
     /// Interval of the background old-version garbage collector.
     pub gc_interval: std::time::Duration,
-    /// Wake quantum of the commit-pipeline reactor's deadline coalescing:
-    /// when every in-flight commit is waiting on the wire, the pipeline
-    /// sleeps to the **latest** completion deadline within this window past
-    /// the earliest one, so a single wakeup advances the whole batch of
-    /// verbs instead of one wakeup per deadline. Zero disables coalescing
-    /// (sleep exactly to the earliest deadline). No verb ever completes
-    /// early — the sleep target is itself one of the batched deadlines.
-    pub pipeline_wake_quantum: std::time::Duration,
     /// DELIBERATELY INCORRECT (Section 7.3): skip the uncertainty wait when
     /// acquiring the write timestamp. Only for the ablation experiment and
     /// the counterexample test; never enable in real use.
@@ -146,15 +117,12 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             mode: EngineMode::farmv2_single_version(),
-            dispatch: farm_net::DispatchMode::Concurrent,
             latency: farm_net::LatencyModel::zero(),
             operation_logging: false,
             read_lock_retries: 100,
-            early_ack: true,
             truncate_idle_flush: std::time::Duration::from_millis(1),
             op_log_capacity: 65_536,
             gc_interval: std::time::Duration::from_millis(2),
-            pipeline_wake_quantum: std::time::Duration::from_micros(2),
             unsafe_skip_write_wait: false,
         }
     }

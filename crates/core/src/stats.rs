@@ -25,8 +25,7 @@ pub struct EngineStats {
     pub write_waits: AtomicU64,
     /// Nanoseconds of commit-time uncertainty wait performed **while
     /// COMMIT-BACKUP replication was in flight** (the Figure 4 overlap):
-    /// a subset of `write_wait_ns`. Serial dispatch never overlaps, so this
-    /// stays 0 there; under pipelined dispatch it approaches `write_wait_ns`.
+    /// a subset of `write_wait_ns`, which it approaches.
     pub write_wait_overlapped_ns: AtomicU64,
     /// Old versions allocated.
     pub old_versions_allocated: AtomicU64,

@@ -308,7 +308,10 @@ impl Transaction {
                 set.issue(primary, farm_net::Verb::RdmaRead, work);
             }
         }
-        let completions = set.complete(engine.config().dispatch, Some(engine.meter.stats()));
+        let completions = set.complete(
+            farm_net::DispatchMode::Concurrent,
+            Some(engine.meter.stats()),
+        );
         // One metered message per remote primary; local batches bypass the
         // network. Both count toward the engine-level batching statistics.
         // Completions return in issue order — the `by_primary` iteration
@@ -591,10 +594,10 @@ impl Transaction {
     /// is in baseline mode). Consumes the transaction either way; on error
     /// the transaction has aborted and all its locks have been released.
     ///
-    /// With [`EngineConfig::early_ack`](crate::EngineConfig::early_ack) (the
-    /// FaRMv2 default) this returns as soon as every COMMIT-BACKUP is acked
-    /// — the durability point — leaving the COMMIT-PRIMARY installs and the
-    /// truncation watermark to the background backlog.
+    /// A FaRMv2 commit (outside operation-logging mode) returns as soon as
+    /// every COMMIT-BACKUP is acked — the durability point — leaving the
+    /// COMMIT-PRIMARY installs and the truncation watermark to the
+    /// background backlog.
     pub fn commit(self) -> Result<CommitInfo, TxError> {
         match self.prepare_commit() {
             PreparedCommit::Done(result) => result,

@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 use farm_core::{AbortReason, Engine, EngineConfig, NodeId, TxError, TxOptions};
 use farm_kernel::{ClusterConfig, EventKind};
 use farm_memory::Addr;
+use parking_lot::Mutex;
 
 const ACCOUNTS: usize = 24;
 const INITIAL: u64 = 1_000;
@@ -148,8 +149,17 @@ fn transfer_worker(
 
 /// Snapshot-reads every account on some live node and asserts conservation —
 /// run concurrently with the chaos schedule, it catches snapshot tears and
-/// half-applied transfers the moment they would become visible.
-fn conservation_checker(engine: &Arc<Engine>, accounts: &[Addr], stop: &AtomicBool) -> usize {
+/// half-applied transfers the moment they would become visible. `step` is
+/// the schedule step in progress (kill / partition / heal and its victim),
+/// kept current by `run_schedule` so a failure says where in the schedule it
+/// happened.
+fn conservation_checker(
+    engine: &Arc<Engine>,
+    accounts: &[Addr],
+    stop: &AtomicBool,
+    seed: u64,
+    step: &Mutex<String>,
+) -> usize {
     let total = ACCOUNTS as u64 * INITIAL;
     let mut checks = 0usize;
     while !stop.load(Ordering::Acquire) {
@@ -165,9 +175,15 @@ fn conservation_checker(engine: &Arc<Engine>, accounts: &[Addr], stop: &AtomicBo
         });
         if let Ok((sum, info)) = result {
             assert_eq!(
-                sum, total,
-                "conservation violated at read_ts {}: snapshot tear",
-                info.read_ts
+                sum,
+                total,
+                "conservation violated at read_ts {}: snapshot tear \
+                 (seed {seed}, step {:?}, read on {:?}, config epoch {}); events: {:#?}",
+                info.read_ts,
+                step.lock(),
+                node.id(),
+                engine.cluster().current_config().epoch,
+                engine.cluster().events().snapshot()
             );
             checks += 1;
         }
@@ -246,6 +262,8 @@ fn run_schedule(seed: u64) {
     }
 
     let stop = Arc::new(AtomicBool::new(false));
+    let step = Mutex::new(String::from("warmup"));
+    let enter = |what: String| *step.lock() = what;
     let (acked, checks) = std::thread::scope(|scope| {
         let _stop_guard = StopGuard(&stop);
         let mut workers = Vec::new();
@@ -262,7 +280,8 @@ fn run_schedule(seed: u64) {
             let engine = Arc::clone(&engine);
             let accounts = &accounts;
             let stop = Arc::clone(&stop);
-            scope.spawn(move || conservation_checker(&engine, accounts, &stop))
+            let step = &step;
+            scope.spawn(move || conservation_checker(&engine, accounts, &stop, seed, step))
         };
 
         std::thread::sleep(warmup);
@@ -270,12 +289,15 @@ fn run_schedule(seed: u64) {
             // Isolate the victim; the lease protocol suspects it, the
             // reconfiguration evicts (and thereby kills) it, and the heal
             // afterwards must not resurrect it.
+            enter(format!("partition {first:?}"));
             engine.cluster().faults().partition(vec![(first, 1)]);
         } else {
+            enter(format!("kill {first:?}"));
             engine.cluster().kill(first);
         }
         wait_for_rereplication(&engine, Duration::from_secs(10));
         if evict_by_partition {
+            enter(format!("heal after evicting {first:?}"));
             engine.cluster().faults().heal();
             assert!(
                 !engine.cluster().node(first).is_alive(),
@@ -287,10 +309,12 @@ fn run_schedule(seed: u64) {
             // Redundancy is restored; a second, independent failure must
             // recover the same way.
             engine.cluster().events().clear();
+            enter(format!("kill {second:?} (second failure)"));
             engine.cluster().kill(second);
             wait_for_rereplication(&engine, Duration::from_secs(10));
         }
 
+        enter(String::from("cooldown"));
         std::thread::sleep(cooldown);
         stop.store(true, Ordering::Release);
         let acked: Vec<AckedWrite> = workers

@@ -115,12 +115,11 @@ fn begin_drains_the_engines_own_backlog() {
     engine.shutdown();
 }
 
+/// The FaRMv1 baseline (and operation-logging mode) never early-acks: its
+/// commit runs the synchronous InstallPrimary → Truncate tail.
 #[test]
-fn early_ack_off_keeps_the_synchronous_protocol() {
-    let engine = quiet_engine(EngineConfig {
-        early_ack: false,
-        ..EngineConfig::default()
-    });
+fn baseline_keeps_the_synchronous_protocol() {
+    let engine = quiet_engine(EngineConfig::baseline());
     let node = engine.node(NodeId(0));
     let region = remote_region(&engine, NodeId(0));
 

@@ -13,10 +13,11 @@
 //!   message (lock acquisition, header snapshots, install stores). Closures
 //!   borrow from the caller (they are scoped, not `'static`).
 //! * [`CompletionSet::complete`] drains the set: it executes every closure
-//!   and pays the injected latency according to the [`DispatchMode`],
-//!   returning the per-destination results **in issue order** — including
-//!   results of destinations that failed, so a coordinator can always
-//!   account for every lock its fan-out acquired before it unwinds.
+//!   inline on the caller's thread (in issue order, so lock-acquisition order
+//!   stays deterministic), then waits **once** until the latest completion
+//!   deadline, returning the per-destination results **in issue order** —
+//!   including results of destinations that failed, so a coordinator can
+//!   always account for every lock its fan-out acquired before it unwinds.
 //!
 //! The set always drains fully: there is no early-out on the first error,
 //! mirroring the fact that a coordinator cannot recall messages already on
@@ -27,25 +28,14 @@ use std::time::Instant;
 
 use crate::{LatencyModel, NetStats, NodeId, Verb};
 
-/// How a [`CompletionSet`] pays latency and schedules its work closures.
+/// The one way a [`CompletionSet`] dispatches. Vestigial: kept, with the
+/// `mode` parameter of `complete` / `complete_deferred`, only because the
+/// frozen `benchmark/` names it; both go in the next benchmark-correcting PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// One destination at a time: pay the verb's full latency, then run its
-    /// closure, then move to the next — the pre-fan-out behavior, kept for
-    /// A/B benchmarking. A phase touching K destinations costs `Σ latency`.
-    Serial,
-    /// Issue everything, run the closures inline on the caller's thread (in
-    /// issue order, so lock-acquisition order stays deterministic), then
-    /// wait **once** until the latest completion deadline. A phase costs
-    /// `max(latency)` however many destinations it touches. The default.
+    /// Closures run inline in issue order; one wait at the latest deadline.
     #[default]
     Concurrent,
-    /// Like [`DispatchMode::Concurrent`], but the closures run on scoped
-    /// threads — one per in-flight verb, standing in for the destination
-    /// machines' worker cores executing concurrently. Latency accounting is
-    /// identical; use on hosts with enough cores to let destination-side
-    /// work genuinely overlap.
-    ConcurrentThreads,
 }
 
 /// The result of one completed verb.
@@ -60,15 +50,13 @@ pub struct Completion<R> {
 /// One issued-but-not-completed verb.
 struct PendingVerb<'env, R> {
     dest: NodeId,
-    /// Injected wire latency of this verb.
-    latency_ns: u64,
     /// When the verb completes (issue time + latency). `None` for verbs
     /// with no injected latency (local bypass, or a zero latency model) —
     /// they complete immediately, and skipping the clock read keeps the
     /// default zero-latency configuration free of per-verb `Instant::now`
     /// calls on the hot path.
     deadline: Option<Instant>,
-    work: Box<dyn FnOnce() -> R + Send + 'env>,
+    work: Box<dyn FnOnce() -> R + 'env>,
 }
 
 /// A set of in-flight verbs awaiting completion. See the module docs.
@@ -81,7 +69,7 @@ pub struct CompletionSet<'env, R> {
     pending: Vec<PendingVerb<'env, R>>,
 }
 
-impl<'env, R: Send> CompletionSet<'env, R> {
+impl<'env, R> CompletionSet<'env, R> {
     /// Creates an empty set paying latency per `model`.
     pub fn new(model: LatencyModel) -> Self {
         CompletionSet {
@@ -95,7 +83,7 @@ impl<'env, R: Send> CompletionSet<'env, R> {
     /// time plus the model's latency for the verb, and `work` is the
     /// destination-side processing executed before the completion is
     /// reported.
-    pub fn issue(&mut self, dest: NodeId, verb: Verb, work: impl FnOnce() -> R + Send + 'env) {
+    pub fn issue(&mut self, dest: NodeId, verb: Verb, work: impl FnOnce() -> R + 'env) {
         let latency_ns = self.model.verb_ns(verb);
         let deadline = if latency_ns == 0 {
             None
@@ -105,7 +93,6 @@ impl<'env, R: Send> CompletionSet<'env, R> {
         };
         self.pending.push(PendingVerb {
             dest,
-            latency_ns,
             deadline,
             work: Box::new(work),
         });
@@ -114,10 +101,9 @@ impl<'env, R: Send> CompletionSet<'env, R> {
     /// Issues a **local-bypass** operation: the "destination" is the caller's
     /// own machine, so no wire latency applies — the work still rides the
     /// set so phase logic stays uniform and results stay in issue order.
-    pub fn issue_local(&mut self, dest: NodeId, work: impl FnOnce() -> R + Send + 'env) {
+    pub fn issue_local(&mut self, dest: NodeId, work: impl FnOnce() -> R + 'env) {
         self.pending.push(PendingVerb {
             dest,
-            latency_ns: 0,
             deadline: None,
             work: Box::new(work),
         });
@@ -139,9 +125,9 @@ impl<'env, R: Send> CompletionSet<'env, R> {
         self.pending.iter().filter_map(|p| p.deadline).max()
     }
 
-    /// Drains the set: executes every work closure and pays the injected
-    /// latency per `mode`, reporting the in-flight high-water mark to
-    /// `stats`. Results are returned in issue order, one per issued verb —
+    /// Drains the set: executes every work closure, then waits until the
+    /// latest completion deadline, reporting the in-flight high-water mark
+    /// to `stats`. Results are returned in issue order, one per issued verb —
     /// failures do not short-circuit the drain (encode them in `R`).
     ///
     /// Callers that interleave their own waiting with the flight window
@@ -158,80 +144,30 @@ impl<'env, R: Send> CompletionSet<'env, R> {
     }
 
     /// Drains the set's **work** without paying the final deadline wait:
-    /// every closure runs now (in issue order, or on scoped threads under
-    /// [`DispatchMode::ConcurrentThreads`]) and the latest completion
+    /// every closure runs now, in issue order, and the latest completion
     /// deadline is returned to the caller, who owns the wait. This is the
     /// primitive behind per-thread commit pipelining: one thread issues the
     /// phases of several transactions and multiplexes their deadlines,
     /// sleeping only until the earliest one instead of blocking inside each
     /// set.
-    ///
-    /// [`DispatchMode::Serial`] is not deferrable — it interleaves waits
-    /// with closures by definition — so it pays its latency inline and
-    /// returns no deadline.
     pub fn complete_deferred(
         self,
-        mode: DispatchMode,
+        _mode: DispatchMode,
         stats: Option<&NetStats>,
     ) -> (Vec<Completion<R>>, Option<Instant>) {
         if let Some(stats) = stats {
             stats.note_inflight(self.pending.len() as u64);
         }
-        match mode {
-            DispatchMode::Serial => {
-                let out = self
-                    .pending
-                    .into_iter()
-                    .map(|p| {
-                        // Pay this verb's full latency before touching the
-                        // next destination: the serial Σ-latency model.
-                        if p.latency_ns > 0 {
-                            self.model.wait_until(
-                                Instant::now() + std::time::Duration::from_nanos(p.latency_ns),
-                            );
-                        }
-                        Completion {
-                            dest: p.dest,
-                            value: (p.work)(),
-                        }
-                    })
-                    .collect();
-                (out, None)
-            }
-            DispatchMode::Concurrent => {
-                let deadline = self.max_deadline();
-                let out: Vec<Completion<R>> = self
-                    .pending
-                    .into_iter()
-                    .map(|p| Completion {
-                        dest: p.dest,
-                        value: (p.work)(),
-                    })
-                    .collect();
-                (out, deadline)
-            }
-            DispatchMode::ConcurrentThreads => {
-                let deadline = self.max_deadline();
-                let dests: Vec<NodeId> = self.pending.iter().map(|p| p.dest).collect();
-                let values: Vec<R> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .pending
-                        .into_iter()
-                        .map(|p| scope.spawn(p.work))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("verb work closure panicked"))
-                        .collect()
-                });
-                let out = dests
-                    .into_iter()
-                    .zip(values)
-                    .map(|(dest, value)| Completion { dest, value })
-                    .collect();
-                (out, deadline)
-            }
-        }
+        let deadline = self.max_deadline();
+        let out = self
+            .pending
+            .into_iter()
+            .map(|p| Completion {
+                dest: p.dest,
+                value: (p.work)(),
+            })
+            .collect();
+        (out, deadline)
     }
 }
 
@@ -260,54 +196,36 @@ mod tests {
 
     #[test]
     fn results_come_back_in_issue_order() {
-        for mode in [
-            DispatchMode::Serial,
-            DispatchMode::Concurrent,
-            DispatchMode::ConcurrentThreads,
-        ] {
-            let mut set: CompletionSet<u32> = CompletionSet::new(LatencyModel::zero());
-            for i in 0..8u32 {
-                set.issue(NodeId(i), Verb::Rpc, move || i * 10);
-            }
-            let out = set.complete(mode, None);
-            let values: Vec<u32> = out.iter().map(|c| c.value).collect();
-            assert_eq!(values, (0..8).map(|i| i * 10).collect::<Vec<_>>());
-            let dests: Vec<NodeId> = out.iter().map(|c| c.dest).collect();
-            assert_eq!(dests, (0..8).map(NodeId).collect::<Vec<_>>());
+        let mut set: CompletionSet<u32> = CompletionSet::new(LatencyModel::zero());
+        for i in 0..8u32 {
+            set.issue(NodeId(i), Verb::Rpc, move || i * 10);
         }
+        let out = set.complete(DispatchMode::Concurrent, None);
+        let values: Vec<u32> = out.iter().map(|c| c.value).collect();
+        assert_eq!(values, (0..8).map(|i| i * 10).collect::<Vec<_>>());
+        let dests: Vec<NodeId> = out.iter().map(|c| c.dest).collect();
+        assert_eq!(dests, (0..8).map(NodeId).collect::<Vec<_>>());
     }
 
     #[test]
     fn concurrent_pays_max_not_sum() {
-        // Four 200 µs verbs: serial ≈ 800 µs, concurrent ≈ 200 µs.
-        let m = model(200);
-        let mut serial: CompletionSet<()> = CompletionSet::new(m);
-        for i in 0..4 {
-            serial.issue(NodeId(i), Verb::Rpc, || ());
-        }
+        // Four 2 ms verbs cost one latency (≈ 2 ms), not four (≈ 8 ms). The
+        // latency is long so that sleep overshoot on a busy host stays well
+        // inside the 2× margin.
         let t = Instant::now();
-        serial.complete(DispatchMode::Serial, None);
-        let serial_elapsed = t.elapsed();
-        // Deadlines run from issue time, so the concurrent set is issued
-        // right before it drains.
-        let mut conc: CompletionSet<()> = CompletionSet::new(m);
+        let mut set: CompletionSet<()> = CompletionSet::new(model(2_000));
         for i in 0..4 {
-            conc.issue(NodeId(i), Verb::Rpc, || ());
+            set.issue(NodeId(i), Verb::Rpc, || ());
         }
-        let t = Instant::now();
-        conc.complete(DispatchMode::Concurrent, None);
-        let conc_elapsed = t.elapsed();
+        set.complete(DispatchMode::Concurrent, None);
+        let elapsed = t.elapsed();
         assert!(
-            serial_elapsed >= Duration::from_micros(760),
-            "serial too fast: {serial_elapsed:?}"
+            elapsed >= Duration::from_millis(2),
+            "skipped the deadline wait: {elapsed:?}"
         );
         assert!(
-            conc_elapsed >= Duration::from_micros(190),
-            "concurrent skipped the deadline wait: {conc_elapsed:?}"
-        );
-        assert!(
-            conc_elapsed < serial_elapsed,
-            "fan-out did not beat serial: {conc_elapsed:?} vs {serial_elapsed:?}"
+            elapsed < Duration::from_millis(4),
+            "paid more than one latency for four verbs: {elapsed:?}"
         );
     }
 
@@ -347,7 +265,7 @@ mod tests {
         // A smaller later set does not lower the mark.
         let mut set: CompletionSet<()> = CompletionSet::new(LatencyModel::zero());
         set.issue_local(NodeId(0), || ());
-        set.complete(DispatchMode::Serial, Some(&stats));
+        set.complete(DispatchMode::Concurrent, Some(&stats));
         assert_eq!(stats.max_inflight(), 5);
     }
 
@@ -378,13 +296,6 @@ mod tests {
         let deadline = deadline.expect("non-zero latency yields a deadline");
         m.wait_until(deadline);
         assert!(t.elapsed() >= Duration::from_micros(290));
-        // Serial mode pays inline and reports no deadline.
-        let mut set: CompletionSet<()> = CompletionSet::new(m);
-        set.issue(NodeId(0), Verb::RdmaWrite, || ());
-        let t = Instant::now();
-        let (_, deadline) = set.complete_deferred(DispatchMode::Serial, None);
-        assert!(deadline.is_none());
-        assert!(t.elapsed() >= Duration::from_micros(290));
     }
 
     #[test]
@@ -395,7 +306,7 @@ mod tests {
         let mut set: CompletionSet<usize> = CompletionSet::new(LatencyModel::zero());
         let p = &payload;
         set.issue(NodeId(1), Verb::RdmaRead, move || p.len());
-        let out = set.complete(DispatchMode::ConcurrentThreads, None);
+        let out = set.complete(DispatchMode::Concurrent, None);
         assert_eq!(out[0].value, 3);
         assert_eq!(payload.len(), 3);
     }

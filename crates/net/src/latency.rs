@@ -7,17 +7,14 @@
 //! a [`LatencyModel`]; for raw-throughput experiments it uses
 //! [`LatencyModel::zero`], which compiles down to a no-op.
 //!
-//! Latency can be paid in two ways:
-//!
-//! * **Inline** ([`LatencyModel::apply_read`] and friends): the caller blocks
-//!   for the verb's full latency before continuing — the serial dispatch
-//!   model, where a phase touching K destinations pays `K × latency`.
-//! * **Deadline-based** ([`LatencyModel::verb_ns`] +
-//!   [`LatencyModel::wait_until`]): the caller computes a completion deadline
-//!   per verb at issue time and blocks **once**, at the latest deadline —
-//!   the completion-queue model used by [`crate::CompletionSet`], where a
-//!   phase fanning out to K destinations pays `max(latency)` like a real
-//!   coordinator waiting on its NIC completion queue.
+//! Latency is **deadline-based** ([`LatencyModel::verb_ns`] +
+//! [`LatencyModel::wait_until`]): the caller computes a completion deadline
+//! per verb at issue time and blocks **once**, at the latest deadline — the
+//! completion-queue model used by [`crate::CompletionSet`], where a phase
+//! fanning out to K destinations pays `max(latency)` like a real coordinator
+//! waiting on its NIC completion queue. The one inline wait left is
+//! [`LatencyModel::apply_read`], paid by a lone un-batched read that has no
+//! sibling verb to overlap with.
 
 use std::time::{Duration, Instant};
 
@@ -85,22 +82,10 @@ impl LatencyModel {
         }
     }
 
-    /// Injects the read latency.
+    /// Injects the read latency inline (a single un-batched read).
     #[inline]
     pub fn apply_read(&self) {
         busy_wait(self.rdma_read_ns, self.spin_threshold_ns);
-    }
-
-    /// Injects the write latency.
-    #[inline]
-    pub fn apply_write(&self) {
-        busy_wait(self.rdma_write_ns, self.spin_threshold_ns);
-    }
-
-    /// Injects the RPC latency.
-    #[inline]
-    pub fn apply_rpc(&self) {
-        busy_wait(self.rpc_ns, self.spin_threshold_ns);
     }
 
     /// Blocks until `deadline` has passed (no-op if it already has) — the
@@ -151,10 +136,8 @@ mod tests {
     fn zero_model_is_free() {
         let m = LatencyModel::zero();
         let start = std::time::Instant::now();
-        for _ in 0..10_000 {
+        for _ in 0..30_000 {
             m.apply_read();
-            m.apply_write();
-            m.apply_rpc();
         }
         // 30k no-op applications should take well under 10 ms.
         assert!(start.elapsed() < Duration::from_millis(10));

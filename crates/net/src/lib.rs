@@ -6,23 +6,18 @@
 //! reproduction has no RDMA hardware, so this crate provides an in-process
 //! substitute with the same *structural* properties:
 //!
-//! * Every simulated machine ([`NodeId`]) has an **inbox** of messages served
-//!   by its own worker threads — this models the two-sided RPC path (lock
-//!   requests, lease renewals, clock synchronization, reconfiguration).
-//! * One-sided operations are *not* routed through the inbox at all: the
-//!   caller performs a direct load/store on the target machine's memory
-//!   (owned by `farm-memory` and shared via `Arc`), mirroring the fact that
-//!   an RDMA NIC bypasses the remote CPU. This crate supplies the
-//!   [`OneSidedMeter`] used to account for those verbs and to inject
-//!   configurable latency so that protocol-level latency compositions remain
-//!   realistic.
+//! * A verb — one-sided or two-sided — is a direct load/store or function
+//!   call on the target machine's memory (owned by `farm-memory` and shared
+//!   via `Arc`), mirroring the fact that an RDMA NIC bypasses the remote CPU.
+//!   The [`OneSidedMeter`] accounts for every such message so that counts and
+//!   bytes match what the real protocol would put on the network.
+//! * Flight time is owned by the [`CompletionSet`] that carries a phase's
+//!   verbs: each gets a completion deadline from the [`LatencyModel`] at
+//!   issue time and the coordinator waits once, at the latest one, like a
+//!   real coordinator polling its NIC completion queue.
 //! * A [`FaultPlane`] supports killing machines and partitioning the network,
 //!   which the kernel's failure detector and reconfiguration protocol react
 //!   to.
-//!
-//! The crate is deliberately independent of the message types used above it:
-//! [`Network`] is generic over the message enum defined by `farm-kernel` /
-//! `farm-core`.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -30,19 +25,15 @@
 mod completion;
 mod fault;
 mod latency;
-mod network;
 mod stats;
-mod worker;
 
 pub use completion::{Completion, CompletionSet, DispatchMode};
 pub use fault::FaultPlane;
 pub use latency::LatencyModel;
-pub use network::{Envelope, NetError, Network, NodeInbox};
 pub use stats::{
     NetStats, NetStatsSnapshot, PhaseHistogram, PhaseHistogramSnapshot, PhaseLabel, Verb,
     PHASE_LABELS,
 };
-pub use worker::WorkerPool;
 
 use std::fmt;
 
@@ -76,12 +67,15 @@ impl From<u32> for NodeId {
     }
 }
 
-/// Accounts for one-sided RDMA verbs (reads/writes served by the "NIC") and
-/// optionally injects latency to model the wire.
+/// Accounts for the messages of the simulated wire (one-sided reads/writes
+/// served by the "NIC", two-sided RPCs) so that message counts and bytes
+/// match what the real protocol would put on the network.
 ///
-/// The transaction engine calls [`OneSidedMeter::read`] / [`OneSidedMeter::write`]
-/// around every direct access to remote memory so that message counts and
-/// bytes match what the real protocol would put on the network.
+/// The `*_deferred` verbs record a message without injecting any latency: the
+/// verb's flight time is owned by the [`CompletionSet`] that carries it (one
+/// deadline wait per phase, however many messages the phase fans out). Only
+/// [`OneSidedMeter::read`] — a lone un-batched read with nothing to overlap —
+/// pays its latency inline.
 pub struct OneSidedMeter {
     stats: std::sync::Arc<NetStats>,
     latency: LatencyModel,
@@ -101,14 +95,6 @@ impl OneSidedMeter {
         self.latency.apply_read();
     }
 
-    /// Accounts for a one-sided RDMA write of `bytes` bytes and injects the
-    /// configured write latency.
-    #[inline]
-    pub fn write(&self, bytes: usize) {
-        self.stats.record(Verb::RdmaWrite, bytes);
-        self.latency.apply_write();
-    }
-
     /// Accounts for the hardware acknowledgement of a previously issued RDMA
     /// write (the coordinator waits for NIC acks of COMMIT-BACKUP messages).
     #[inline]
@@ -116,68 +102,26 @@ impl OneSidedMeter {
         self.stats.record(Verb::HardwareAck, 0);
     }
 
-    /// Accounts for **one** one-sided RDMA read message carrying `ops`
-    /// logical reads and `bytes` total payload — a *doorbell-batched* read:
-    /// the NIC is rung once for a chain of read work requests, so latency is
-    /// injected once however many objects the batch carries. This is the
-    /// verb behind `Transaction::read_many` (one batch per destination
-    /// primary) and the commit driver's batched VALIDATE phase.
-    #[inline]
-    pub fn read_batch(&self, ops: u64, bytes: usize) {
-        self.stats.record_batch(Verb::RdmaRead, ops, bytes);
-        self.latency.apply_read();
-    }
-
-    /// Accounts for **one** one-sided RDMA write message carrying `ops`
-    /// logical writes and `bytes` total payload (e.g. a COMMIT-BACKUP record
-    /// holding a transaction's whole write set for one backup).
-    #[inline]
-    pub fn write_batch(&self, ops: u64, bytes: usize) {
-        self.stats.record_batch(Verb::RdmaWrite, ops, bytes);
-        self.latency.apply_write();
-    }
-
-    /// Accounts for a two-sided message of `bytes` payload bytes processed by
-    /// the remote CPU.
-    #[inline]
-    pub fn rpc(&self, bytes: usize) {
-        self.stats.record(Verb::Rpc, bytes);
-        self.latency.apply_rpc();
-    }
-
-    /// Accounts for **one** two-sided message carrying `ops` logical
-    /// operations (e.g. a LOCK batch of `ops` writes for one primary).
-    #[inline]
-    pub fn rpc_batch(&self, ops: u64, bytes: usize) {
-        self.stats.record_batch(Verb::Rpc, ops, bytes);
-        self.latency.apply_rpc();
-    }
-
-    // ------------------------------------------------------------------
-    // Deferred accounting (completion-queue dispatch)
-    // ------------------------------------------------------------------
-    //
-    // The `*_deferred` variants record the message without injecting any
-    // latency: the verb's flight time is owned by the `CompletionSet` that
-    // carries it (one deadline wait per phase, however many messages the
-    // phase fans out).
-
-    /// Records one batched read message; latency deferred to the carrier
-    /// completion set.
+    /// Records **one** one-sided RDMA read message carrying `ops` logical
+    /// reads and `bytes` total payload — a *doorbell-batched* read: the NIC
+    /// is rung once for a chain of read work requests. This is the verb
+    /// behind `Transaction::read_many` (one batch per destination primary)
+    /// and the commit driver's batched VALIDATE phase.
     #[inline]
     pub fn read_batch_deferred(&self, ops: u64, bytes: usize) {
         self.stats.record_batch(Verb::RdmaRead, ops, bytes);
     }
 
-    /// Records one batched write message; latency deferred to the carrier
-    /// completion set.
+    /// Records **one** one-sided RDMA write message carrying `ops` logical
+    /// writes and `bytes` total payload (e.g. a COMMIT-BACKUP record holding
+    /// a transaction's whole write set for one backup).
     #[inline]
     pub fn write_batch_deferred(&self, ops: u64, bytes: usize) {
         self.stats.record_batch(Verb::RdmaWrite, ops, bytes);
     }
 
-    /// Records one batched two-sided message; latency deferred to the
-    /// carrier completion set.
+    /// Records **one** two-sided message carrying `ops` logical operations
+    /// (e.g. a LOCK batch of `ops` writes for one primary).
     #[inline]
     pub fn rpc_batch_deferred(&self, ops: u64, bytes: usize) {
         self.stats.record_batch(Verb::Rpc, ops, bytes);
@@ -215,12 +159,10 @@ mod tests {
         let meter = OneSidedMeter::new(stats.clone(), LatencyModel::zero());
         meter.read(64);
         meter.read(128);
-        meter.write(256);
         meter.ack();
         let snap = stats.snapshot();
         assert_eq!(snap.count(Verb::RdmaRead), 2);
         assert_eq!(snap.bytes(Verb::RdmaRead), 192);
-        assert_eq!(snap.count(Verb::RdmaWrite), 1);
         assert_eq!(snap.count(Verb::HardwareAck), 1);
     }
 
@@ -228,9 +170,9 @@ mod tests {
     fn one_sided_meter_batches_count_one_message() {
         let stats = Arc::new(NetStats::default());
         let meter = OneSidedMeter::new(stats.clone(), LatencyModel::zero());
-        meter.rpc_batch(8, 8 * 64);
-        meter.write_batch(8, 8 * 64 + 64);
-        meter.read_batch(2, 32);
+        meter.rpc_batch_deferred(8, 8 * 64);
+        meter.write_batch_deferred(8, 8 * 64 + 64);
+        meter.read_batch_deferred(2, 32);
         let snap = stats.snapshot();
         assert_eq!(snap.count(Verb::Rpc), 1);
         assert_eq!(snap.ops(Verb::Rpc), 8);

@@ -1,9 +1,6 @@
 #!/usr/bin/env python3
-"""Bench-regression guard for BENCH_commit_pipeline.json and
-BENCH_recovery.json (dispatched on the file's "bench" field).
-
-For BENCH_recovery.json (the chaos_recovery harness) CI fails when failure
-recovery regresses:
+"""Bench-regression guard for BENCH_recovery.json (the chaos_recovery
+harness). CI fails when failure recovery regresses:
 
 * any schedule reports an invariant violation (lost or half-applied acked
   commit, broken conservation, pending installs or untruncated redo logs
@@ -13,45 +10,14 @@ recovery regresses:
 * the slowest suspicion-to-full-redundancy span exceeds the budget;
 * any schedule commits nothing (the cluster lost availability).
 
-For BENCH_commit_pipeline.json CI fails when the early-ack commit critical
-path or the pipeline reactor regresses:
+Commit-path and pipeline performance is judged by the `benchmark/` package
+(`farm-benchmark compare`), not here.
 
-* serializable fanout 4-primary p50 must stay at or below the checked-in
-  threshold (the PR-5 acceptance bound; PR-4 measured ~27 us, early-ack
-  lands ~15-17 us, so 18 us holds comfortable slack for shared runners);
-* fanout dispatch must send (almost) no standalone TRUNCATE messages on
-  the serializable rows: truncation piggybacks as a watermark, so a
-  regression there shows up as roughly one standalone message per commit
-  (hundreds per row). A small allowance covers the 1-CPU-host case where
-  the bench thread is preempted for longer than the idle-flush deadline
-  and the watermark is then *genuinely* idle;
-* the deepest pipeline row must beat the synchronous depth-1 baseline by
-  the CI floor (the full-length run yields ~3.4x; CI runs are short and
-  share cores, so the gate is looser than the acceptance target);
-* the reactor sweep (long-flight model, waits sleep) must show the
-  plateau broken: single-worker depth-16 throughput strictly above
-  depth-8 by the CI floor (full-length runs measure ~1.9x);
-* at least one PipelinePool row must match or beat the single reactor at
-  the same total in-flight depth (full-length runs measure ~1.6x at 16);
-* the Amdahl cycle accounting must stay coherent: the datacenter sweep's
-  deepest row is CPU-bound (serial fraction near 1 -- the plateau
-  diagnosis), the long-flight sweep's deepest row is not (serial
-  fraction below the ceiling -- the reactor regime stays latency-bound),
-  and the predicted multi-core speedup curves are present.
-
-Usage: check_bench_regression.py BENCH_commit_pipeline.json
-       check_bench_regression.py BENCH_recovery.json
+Usage: check_bench_regression.py BENCH_recovery.json
 """
 
 import json
 import sys
-
-MAX_FANOUT4_P50_US = 18.0
-MIN_PIPELINE_SPEEDUP = 2.0
-MIN_DEPTH16_OVER_DEPTH8 = 1.3
-MIN_POOL_VS_SINGLE = 1.0
-MIN_DATACENTER_SERIAL_FRACTION = 0.8
-MAX_LONGFLIGHT_SERIAL_FRACTION = 0.85
 
 # Recovery gates. The span budget is deliberately loose: local runs measure
 # well under 1 ms from suspicion to restored redundancy, but CI runners are
@@ -107,129 +73,8 @@ def check_recovery(data: dict) -> int:
 
 def main(path: str) -> int:
     with open(path) as f:
-        data = json.load(f)
-    if data.get("bench") == "chaos_recovery":
-        return check_recovery(data)
-    failures = []
-
-    fanout4 = [
-        r
-        for r in data["rows"]
-        if r["dispatch"] == "fanout"
-        and r["isolation"] == "serializable"
-        and r["primaries"] == 4
-    ]
-    if not fanout4:
-        failures.append("no serializable fanout 4-primary row found")
-    else:
-        p50 = fanout4[0]["p50_us"]
-        if p50 > MAX_FANOUT4_P50_US:
-            failures.append(
-                f"serializable fanout 4-primary p50 regressed: "
-                f"{p50} us > {MAX_FANOUT4_P50_US} us"
-            )
-
-    for r in data["rows"]:
-        if r["dispatch"] == "fanout" and r["isolation"] == "serializable":
-            msgs = r.get("standalone_truncate_msgs", 0)
-            # A couple of scheduling gaps may each flush one message per
-            # destination; a piggybacking regression is ~1 per commit,
-            # i.e. comparable to the piggybacked count itself.
-            allowed = max(14, r.get("piggybacked_truncations", 0) // 20)
-            if msgs > allowed:
-                failures.append(
-                    f"fanout {r['primaries']}-primary sent {msgs} standalone "
-                    f"TRUNCATE messages (> {allowed} allowed: truncation "
-                    f"must piggyback)"
-                )
-
-    pipeline = data.get("pipeline_throughput", [])
-    if len(pipeline) < 2:
-        failures.append("pipeline_throughput sweep missing or too short")
-    else:
-        deepest = max(pipeline, key=lambda r: r["depth"])
-        speedup = deepest["speedup_vs_depth_1"]
-        if speedup < MIN_PIPELINE_SPEEDUP:
-            failures.append(
-                f"pipeline depth {deepest['depth']} speedup {speedup}x "
-                f"below the {MIN_PIPELINE_SPEEDUP}x CI floor"
-            )
-
-    # Reactor sweep: the plateau must be broken in the long-flight regime.
-    reactor = data.get("reactor_sweep", {}).get("rows", [])
-    singles = {
-        r["total_inflight"]: r for r in reactor if r["workers"] == 1
-    }
-    d16_ratio = None
-    if 8 not in singles or 16 not in singles:
-        failures.append("reactor_sweep missing single-worker depth-8/16 rows")
-    else:
-        d16_ratio = singles[16]["txns_per_sec"] / max(
-            singles[8]["txns_per_sec"], 1e-9
-        )
-        if d16_ratio < MIN_DEPTH16_OVER_DEPTH8:
-            failures.append(
-                f"reactor depth-16 is only {d16_ratio:.2f}x depth-8 "
-                f"(< {MIN_DEPTH16_OVER_DEPTH8}x): the pipeline plateau is back"
-            )
-
-    # Pool vs single: work-stealing must pay at matched total depth.
-    pool_rows = data.get("pool_vs_single", [])
-    best_pool = None
-    if not pool_rows:
-        failures.append("pool_vs_single comparison missing")
-    else:
-        best_pool = max(pool_rows, key=lambda r: r["ratio"])
-        if best_pool["ratio"] < MIN_POOL_VS_SINGLE:
-            failures.append(
-                f"best pool ratio {best_pool['ratio']:.2f} "
-                f"({best_pool['workers']} workers at total depth "
-                f"{best_pool['total_inflight']}) below the "
-                f"{MIN_POOL_VS_SINGLE}x floor vs the single reactor"
-            )
-
-    # Amdahl accounting: the serial-fraction measurements and predictions.
-    core = data.get("amdahl", {}).get("core_scaling", {})
-    s_dc = core.get("serial_fraction_datacenter_deepest")
-    s_lf = core.get("serial_fraction_longflight_deepest")
-    if s_dc is None or s_lf is None:
-        failures.append("amdahl core_scaling serial fractions missing")
-    else:
-        if s_dc < MIN_DATACENTER_SERIAL_FRACTION:
-            failures.append(
-                f"datacenter deepest serial fraction {s_dc} < "
-                f"{MIN_DATACENTER_SERIAL_FRACTION}: the legacy plateau is no "
-                f"longer CPU-bound, re-derive the Amdahl story"
-            )
-        if s_lf > MAX_LONGFLIGHT_SERIAL_FRACTION:
-            failures.append(
-                f"long-flight deepest serial fraction {s_lf} > "
-                f"{MAX_LONGFLIGHT_SERIAL_FRACTION}: the reactor burns CPU "
-                f"where it should be overlapping flights"
-            )
-    for curve in (
-        "predicted_multicore_speedup_datacenter",
-        "predicted_multicore_speedup_longflight",
-    ):
-        if set(core.get(curve, {})) != {"2", "4", "8"}:
-            failures.append(f"amdahl {curve} curve missing or incomplete")
-
-    if failures:
-        for f in failures:
-            print(f"BENCH REGRESSION: {f}", file=sys.stderr)
-        return 1
-    p50 = fanout4[0]["p50_us"]
-    deepest = max(pipeline, key=lambda r: r["depth"])
-    print(
-        f"bench guard OK: fanout4 p50 {p50} us <= {MAX_FANOUT4_P50_US}, "
-        f"standalone truncates in bounds, pipeline depth {deepest['depth']} "
-        f"speedup {deepest['speedup_vs_depth_1']}x, reactor depth-16 "
-        f"{d16_ratio:.2f}x depth-8, best pool ratio {best_pool['ratio']}x "
-        f"({best_pool['workers']} workers @ {best_pool['total_inflight']}), "
-        f"serial fractions dc={s_dc} lf={s_lf}"
-    )
-    return 0
+        return check_recovery(json.load(f))
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else "BENCH_commit_pipeline.json"))
+    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else "BENCH_recovery.json"))
