@@ -76,7 +76,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use farm_clock::TsMode;
-use farm_memory::{Addr, LockOutcome, ObjectSlot, OldAddr, OldVersion};
+use farm_memory::{Addr, LockOutcome, OldAddr, OldVersion, SlotRef};
 use farm_net::{Completion, CompletionSet, DispatchMode, NodeId, PhaseLabel, Verb};
 
 use crate::active::ActiveToken;
@@ -142,7 +142,7 @@ pub(crate) struct HeldLock {
     /// Index of the intent within the group.
     pub intent: usize,
     /// The locked slot (cached so install does not re-resolve).
-    pub slot: Arc<ObjectSlot>,
+    pub slot: SlotRef,
     /// Old version allocated at the primary while processing the LOCK batch
     /// (multi-version mode).
     pub old_addr: Option<OldAddr>,
@@ -237,10 +237,16 @@ pub struct CommitDriver {
 /// a future field breaks `Send`, stealing must be removed, not worked
 /// around.
 ///
+/// Its held locks are [`SlotRef`]s — slab handles that move into the install
+/// backlog and are applied from whichever thread drains it — hence the
+/// second line.
+///
 /// [`PipelinePool`]: crate::PipelinePool
 const _: () = {
     const fn assert_send<T: Send>() {}
+    const fn assert_shared_handle<T: Send + Sync + Clone>() {}
     assert_send::<CommitDriver>();
+    assert_shared_handle::<SlotRef>();
 };
 
 impl CommitDriver {

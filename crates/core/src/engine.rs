@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -482,10 +482,24 @@ impl std::fmt::Debug for NodeEngine {
 /// * **Log catch-up** — when background re-replication finishes its state
 ///   copy onto a new backup, commits that raced the copy are replayed onto
 ///   it from the surviving redo logs, restoring full redundancy.
+///
+/// The hooks are owned by the [`Cluster`], and every [`NodeEngine`] owns the
+/// cluster, so they name the node engines **weakly**: the [`Engine`] alone
+/// keeps its nodes alive, and dropping it (after [`Cluster::shutdown`]) frees
+/// the cluster with every region, slab and log it holds. Events that arrive
+/// after that find no engine and do nothing.
 struct EngineHooks {
     backlog: Arc<Backlog>,
-    nodes: Vec<Arc<NodeEngine>>,
+    nodes: Vec<Weak<NodeEngine>>,
     events: EventLog,
+}
+
+impl EngineHooks {
+    /// The node engines that still exist (all of them while the [`Engine`]
+    /// does).
+    fn engines(&self) -> impl Iterator<Item = Arc<NodeEngine>> + '_ {
+        self.nodes.iter().filter_map(Weak::upgrade)
+    }
 }
 
 impl RecoveryHooks for EngineHooks {
@@ -494,7 +508,7 @@ impl RecoveryHooks for EngineHooks {
     }
 
     fn on_config_committed(&self, config: &ConfigRecord) {
-        for engine in &self.nodes {
+        for engine in self.engines() {
             if config.contains(engine.id()) || engine.handle().is_alive() {
                 continue;
             }
@@ -512,8 +526,7 @@ impl RecoveryHooks for EngineHooks {
         // Any live node can serve as the catch-up source: the redo state is
         // read from every surviving replicated log, not one replica.
         let Some(src) = self
-            .nodes
-            .iter()
+            .engines()
             .find(|n| n.id() != new_backup && n.is_alive())
         else {
             return;
@@ -574,7 +587,7 @@ impl Engine {
             .collect();
         cluster.set_recovery_hooks(Arc::new(EngineHooks {
             backlog: Arc::clone(&backlog),
-            nodes: nodes.clone(),
+            nodes: nodes.iter().map(Arc::downgrade).collect(),
             events: cluster.events().clone(),
         }));
         let engine = Arc::new(Engine {
@@ -752,6 +765,39 @@ mod tests {
         assert_eq!(stats.commits(), 0);
         assert!(engine.node(NodeId(1)).home_region().is_some());
         engine.shutdown();
+    }
+
+    #[test]
+    fn a_stopped_and_dropped_engine_frees_its_cluster() {
+        // With its control thread: the production shape, and the thread is
+        // one more owner of the cluster until `shutdown` joins it.
+        let cluster_cfg = ClusterConfig {
+            auto_control: true,
+            ..ClusterConfig::test(3)
+        };
+        let engine = Engine::start_cluster(cluster_cfg, EngineConfig::multi_version());
+        let node = engine.node(NodeId(0));
+        let mut tx = node.begin();
+        let addr = tx
+            .alloc_in(node.home_region().unwrap(), vec![7u8; 40])
+            .unwrap();
+        tx.commit().unwrap();
+        let mut tx = node.begin();
+        tx.write(addr, vec![8u8; 40]).unwrap();
+        tx.commit().unwrap();
+        let cluster = Arc::downgrade(engine.cluster());
+        let node_engine = Arc::downgrade(&node);
+        drop(node);
+        engine.shutdown();
+        engine.cluster().shutdown();
+        // The recovery hooks the cluster owns must not own the node engines
+        // (which own the cluster): nothing of a stopped engine outlives it.
+        drop(engine);
+        assert!(node_engine.upgrade().is_none(), "node engine leaked");
+        assert!(
+            cluster.upgrade().is_none(),
+            "cluster and its regions leaked"
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn remote_region(engine: &Arc<Engine>, coordinator: NodeId) -> RegionId {
         .expect("multi-node cluster has a remote region")
 }
 
-fn slot_of(engine: &Arc<Engine>, addr: Addr) -> Arc<farm_memory::ObjectSlot> {
+fn slot_of(engine: &Arc<Engine>, addr: Addr) -> farm_memory::SlotRef {
     let primary = engine.cluster().primary_of(addr.region).unwrap();
     engine
         .cluster()

@@ -193,7 +193,7 @@ fn read_many_handles_locked_and_tombstoned_slots_in_one_batch() {
     let ts = slot.header_snapshot().ts;
     assert_eq!(slot.try_lock_at(ts), LockOutcome::Acquired);
     let unlocker = {
-        let slot = Arc::clone(&slot);
+        let slot = slot.clone();
         std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(5));
             slot.unlock();

@@ -765,11 +765,13 @@ impl Cluster {
                         let slab_count = src.slab_count() as u16;
                         let mut bytes_copied = 0usize;
                         for slab_idx in 0..slab_count {
-                            if let Some(slab) = src.slab(slab_idx) {
+                            // A placeholder (a slab index the source never
+                            // heard a record for) has nothing to copy.
+                            if let Some(slab) = src.slab(slab_idx).filter(|s| !s.is_placeholder()) {
                                 let dst_slab = dst.ensure_slab(slab_idx, slab.object_size());
                                 for slot_idx in 0..slab.capacity() as u32 {
-                                    if let (Ok(s), Ok(d)) =
-                                        (slab.slot(slot_idx), dst_slab.slot(slot_idx))
+                                    if let (Some(s), Some(d)) =
+                                        (slab.get(slot_idx), dst_slab.get(slot_idx))
                                     {
                                         let h = s.header_snapshot();
                                         if h.allocated {

@@ -48,19 +48,6 @@ impl FreeBitmap {
         }
     }
 
-    /// Creates a bitmap with all slots allocated (used when rebuilding state
-    /// from object headers after promotion of a backup).
-    pub fn new_all_allocated(capacity: usize) -> Self {
-        let leaf_words = capacity.div_ceil(64);
-        let summary_words = leaf_words.div_ceil(64);
-        FreeBitmap {
-            capacity,
-            leaves: vec![0u64; leaf_words],
-            summary: vec![0u64; summary_words.max(1)],
-            free_count: 0,
-        }
-    }
-
     /// Number of slots the bitmap covers.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -198,17 +185,6 @@ mod tests {
         assert!(b.is_full());
         b.free(cap - 1);
         assert_eq!(b.allocate(), Some(cap - 1));
-    }
-
-    #[test]
-    fn all_allocated_then_rebuild() {
-        let mut b = FreeBitmap::new_all_allocated(128);
-        assert!(b.is_full());
-        b.free(64);
-        b.free(5);
-        assert_eq!(b.free_count(), 2);
-        assert_eq!(b.allocate(), Some(5));
-        assert_eq!(b.allocate(), Some(64));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   owned by one thread of the machine holding the primary replica, so the
 //!   common-case allocation touches only thread-local state. Free objects
 //!   within a slab are tracked with a hierarchical bitmap
-//!   ([`bitmap::FreeBitmap`]).
+//!   ([`bitmap::FreeBitmap`]). A slab is **one allocation** holding its
+//!   slots inline; a free slot owns no heap memory, and a slot is held from
+//!   outside through a [`SlotRef`] (slab + index).
 //! * **Object headers** (Figure 7): a 128-bit header per head version with a
 //!   lock bit `L`, an allocated bit `A`, an 8-bit install counter `CL`, a
 //!   53-bit write timestamp `TS`, and an old-version pointer `OVP`. The head
@@ -49,7 +51,7 @@ pub use header::{HeaderSnapshot, ObjectHeader};
 pub use object::{ConsistentRead, InstallOutcome, LockOutcome, ObjectSlot};
 pub use oldver::{OldVersion, OldVersionStore, ThreadOldAllocator};
 pub use region::{BatchLockFailure, Region, RegionConfig, RegionStore, LOCK_ANY_VERSION};
-pub use slab::{Slab, SlabError};
+pub use slab::{Slab, SlabError, SlotRef};
 
 /// Size classes used by the slab allocator, in bytes. Objects are rounded up
 /// to the nearest class; the paper's minimum object size is 64 bytes.

@@ -59,7 +59,9 @@ pub enum InstallOutcome {
     Installed,
 }
 
-/// One object slot: 128-bit header + payload.
+/// One object slot: 128-bit header + payload. Slots live inline in their
+/// [`crate::Slab`]; a free or tombstoned slot's payload is the empty
+/// [`Bytes`], which owns no heap memory.
 ///
 /// The payload is guarded by a reader/writer lock standing in for the
 /// paper's per-cache-line `CL` version scheme (see the crate-level fidelity

@@ -14,9 +14,9 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::addr::{Addr, RegionId};
-use crate::object::{ConsistentRead, LockOutcome, ObjectSlot};
+use crate::object::{ConsistentRead, LockOutcome};
 use crate::size_class_for;
-use crate::slab::Slab;
+use crate::slab::{Slab, SlotRef};
 
 /// Sizing parameters for regions and slabs. The paper uses 2 GB regions and
 /// 1 MB slabs; the defaults here are scaled down so tests and laptop-scale
@@ -88,7 +88,8 @@ pub struct BatchLockFailure {
 
 /// Expected-timestamp sentinel marking a **blind write** in a lock batch:
 /// the transaction wrote the object without reading it, so the LOCK phase
-/// acquires at whatever version is installed ([`ObjectSlot::try_lock_blind`])
+/// acquires at whatever version is installed
+/// ([`crate::ObjectSlot::try_lock_blind`])
 /// instead of version-checking. Real timestamps are clock nanoseconds and
 /// can never reach this value.
 pub const LOCK_ANY_VERSION: u64 = u64::MAX;
@@ -105,7 +106,10 @@ const TOMBSTONE_SHARDS: usize = 16;
 /// lock, so `read_consistent_batch`, `try_lock_batch` and GC sweeps never
 /// contend with each other. Slab creation (rare — bounded by
 /// [`RegionConfig::max_slabs`] over the region's lifetime) copies the table,
-/// appends, and publishes the new snapshot under the `grow` mutex.
+/// appends, and publishes the new snapshot under the `grow` mutex. An entry
+/// is fixed once it names a sized slab; the one in-place replacement is a
+/// backup's zero-capacity placeholder becoming the real slab
+/// ([`Region::ensure_slab`]), and nothing can hold a slot of a placeholder.
 pub struct Region {
     id: RegionId,
     config: RegionConfig,
@@ -151,7 +155,13 @@ impl Region {
 
     /// Returns the slab at `index`, if it exists.
     pub fn slab(&self, index: u16) -> Option<Arc<Slab>> {
-        self.slabs.load().get(index as usize).cloned()
+        self.slab_at(index).cloned()
+    }
+
+    /// Borrows the slab at `index` from the current snapshot (which outlives
+    /// the borrow: replaced snapshots are retired, not freed).
+    fn slab_at(&self, index: u16) -> Option<&Arc<Slab>> {
+        self.slabs.load().get(index as usize)
     }
 
     /// Allocates a slot for an object of `size` bytes, creating a new slab of
@@ -191,7 +201,8 @@ impl Region {
         })
     }
 
-    /// One pass over a slab-table snapshot looking for a free slot of `class`.
+    /// One pass over a slab-table snapshot looking for a free slot of `class`
+    /// (a placeholder's size is 0, so it matches no class).
     fn allocate_in_snapshot(&self, slabs: &[Arc<Slab>], class: usize) -> Option<Addr> {
         for (i, slab) in slabs.iter().enumerate() {
             if slab.object_size() == class {
@@ -207,24 +218,38 @@ impl Region {
         None
     }
 
-    /// Ensures that slab `index` exists with the given size class, creating
-    /// intermediate empty slabs if needed. Backups use this to mirror the
-    /// primary's slab layout when applying replicated writes.
+    /// Ensures that slab `index` exists, creating it with the given size
+    /// class if this replica has none yet. Backups use this to mirror the
+    /// primary's slab layout when applying replicated writes. A slab that
+    /// already has a size keeps it.
+    ///
+    /// Records arrive in any slab order and a region mixes size classes, so
+    /// the indices skipped on the way to `index` get **placeholders** — no
+    /// size, no slots — and each takes the class of the first record that
+    /// names it. (Giving them the requested class would make the replica
+    /// drop every later record for a slab whose real class has more slots.)
     pub fn ensure_slab(&self, index: u16, object_size: usize) -> Arc<Slab> {
-        if let Some(s) = self.slabs.load().get(index as usize) {
-            return Arc::clone(s);
+        let at = index as usize;
+        let sized = |slabs: &[Arc<Slab>]| slabs.get(at).filter(|s| !s.is_placeholder()).cloned();
+        if let Some(s) = sized(self.slabs.load()) {
+            return s;
         }
         let _grow = self.grow.lock();
         let current = self.slabs.load();
-        if let Some(s) = current.get(index as usize) {
-            return Arc::clone(s);
+        if let Some(s) = sized(current) {
+            return s;
         }
+        let capacity = (self.config.slab_bytes / object_size).max(1);
+        let slab = Arc::new(Slab::new(object_size, capacity));
         let mut next = current.clone();
-        while next.len() <= index as usize {
-            let capacity = (self.config.slab_bytes / object_size).max(1);
-            next.push(Arc::new(Slab::new(object_size, capacity)));
+        if next.len() < at {
+            next.resize_with(at, || Arc::new(Slab::placeholder()));
         }
-        let slab = Arc::clone(&next[index as usize]);
+        if at < next.len() {
+            next[at] = Arc::clone(&slab);
+        } else {
+            next.push(Arc::clone(&slab));
+        }
         self.slabs.store(Arc::new(next));
         slab
     }
@@ -232,16 +257,16 @@ impl Region {
     /// Frees the slot named by `addr` in the allocator (bitmap); the header
     /// must already have been cleared by the committing transaction.
     pub fn free(&self, addr: Addr) -> Result<(), RegionError> {
-        let slab = self.slab(addr.slab).ok_or(RegionError::BadAddress(addr))?;
-        slab.free(addr.slot)
-            .map_err(|_| RegionError::BadAddress(addr))
+        self.slab_at(addr.slab)
+            .and_then(|slab| slab.free(addr.slot).ok())
+            .ok_or(RegionError::BadAddress(addr))
     }
 
-    /// Resolves an address to its object slot.
-    pub fn slot(&self, addr: Addr) -> Result<Arc<ObjectSlot>, RegionError> {
-        let slab = self.slab(addr.slab).ok_or(RegionError::BadAddress(addr))?;
-        slab.slot(addr.slot)
-            .map_err(|_| RegionError::BadAddress(addr))
+    /// Resolves an address to an owning handle on its object slot.
+    pub fn slot(&self, addr: Addr) -> Result<SlotRef, RegionError> {
+        self.slab_at(addr.slab)
+            .and_then(|slab| slab.slot(addr.slot).ok())
+            .ok_or(RegionError::BadAddress(addr))
     }
 
     /// Acquires the per-object commit locks for one LOCK batch, the
@@ -262,12 +287,12 @@ impl Region {
     pub fn try_lock_batch(
         &self,
         entries: &[(Addr, u64)],
-    ) -> Result<Vec<Arc<ObjectSlot>>, BatchLockFailure> {
+    ) -> Result<Vec<SlotRef>, BatchLockFailure> {
         debug_assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "lock batch must be sorted by ascending address"
         );
-        let mut acquired: Vec<Arc<ObjectSlot>> = Vec::with_capacity(entries.len());
+        let mut acquired: Vec<SlotRef> = Vec::with_capacity(entries.len());
         for &(addr, expected_ts) in entries {
             let outcome = match self.slot(addr) {
                 Ok(slot) => {
@@ -308,14 +333,15 @@ impl Region {
     /// report [`ConsistentRead::NotAllocated`].
     pub fn read_consistent_batch(&self, addrs: &[Addr]) -> Vec<ConsistentRead> {
         // One traversal: pin the slab-table snapshot with a single wait-free
-        // load, then snapshot the slots without re-entering the index.
+        // load, then snapshot the slots without re-entering the index — the
+        // slots are borrowed from the pinned slabs, no handle is made.
         let slabs = self.slabs.load();
         addrs
             .iter()
             .map(|addr| {
                 match slabs
                     .get(addr.slab as usize)
-                    .and_then(|slab| slab.slot(addr.slot).ok())
+                    .and_then(|slab| slab.get(addr.slot))
                 {
                     Some(slot) => slot.read_consistent(),
                     None => ConsistentRead::NotAllocated,
@@ -351,7 +377,7 @@ impl Region {
             return;
         }
         let slab = self.ensure_slab(addr.slab, slab_size);
-        let Ok(slot) = slab.slot(addr.slot) else {
+        let Some(slot) = slab.get(addr.slot) else {
             return;
         };
         let h = slot.header_snapshot();
@@ -388,10 +414,12 @@ impl Region {
                 if ts >= safe_point {
                     return true;
                 }
-                if let Ok(slot) = self.slot(addr) {
-                    slot.clear();
+                if let Some(slab) = self.slab_at(addr.slab) {
+                    if let Some(slot) = slab.get(addr.slot) {
+                        slot.clear();
+                    }
+                    let _ = slab.free(addr.slot);
                 }
-                let _ = self.free(addr);
                 swept += 1;
                 false
             });
@@ -407,7 +435,7 @@ impl Region {
     /// Scans all slabs and rebuilds their free bitmaps from object headers
     /// (backup promotion, Section 4.8).
     pub fn rebuild_allocation_state(&self) {
-        for slab in self.slabs.load().iter() {
+        for slab in self.slabs.load().iter().filter(|s| !s.is_placeholder()) {
             slab.rebuild_bitmap_from_headers();
         }
     }
@@ -598,6 +626,64 @@ mod tests {
         // Existing slab is returned as-is.
         let again = r.ensure_slab(3, 64);
         assert_eq!(again.object_size(), 128);
+        // The skipped indices are placeholders until someone names them.
+        assert!((0..3).all(|i| r.slab(i).unwrap().is_placeholder()));
+        assert_eq!(r.occupancy().0, s.capacity());
+    }
+
+    #[test]
+    fn out_of_order_records_keep_each_slabs_own_class() {
+        // Primary layout: slab 0 is class 64 (64 slots at 4 KiB), slab 1 is
+        // class 128 (32 slots). A backup must end up with the same layout
+        // whichever slab's record it hears first — slot 40 exists only in a
+        // class-64 slab.
+        let in_64 = Addr {
+            region: RegionId(1),
+            slab: 0,
+            slot: 40,
+        };
+        let in_128 = Addr {
+            region: RegionId(1),
+            slab: 1,
+            slot: 3,
+        };
+        for slab_1_first in [true, false] {
+            let r = Region::new(RegionId(1), RegionConfig::small());
+            let mut records = [
+                (in_64, 64, Bytes::from_static(b"small")),
+                (in_128, 128, Bytes::from_static(b"large")),
+            ];
+            if slab_1_first {
+                records.reverse();
+            }
+            for (addr, class, data) in &records {
+                r.apply_replicated(*addr, *class, 7, data, false);
+            }
+            assert_eq!(r.slab(0).unwrap().object_size(), 64, "{slab_1_first}");
+            assert_eq!(r.slab(1).unwrap().object_size(), 128, "{slab_1_first}");
+            assert_eq!(&r.slot(in_64).unwrap().raw_data()[..], b"small");
+            assert_eq!(&r.slot(in_128).unwrap().raw_data()[..], b"large");
+            // Promotion: both objects are counted allocated, and allocation
+            // resumes in the mirrored slabs without handing either out.
+            r.rebuild_allocation_state();
+            assert_eq!(r.occupancy(), (64 + 32, 64 + 32 - 2));
+            let a = r.allocate(64).unwrap();
+            let b = r.allocate(128).unwrap();
+            assert_eq!((a.slab, b.slab), (0, 1));
+            assert!(a != in_64 && b != in_128);
+        }
+        // A hole nobody ever named stays a hole through promotion, and
+        // allocation appends past it.
+        let r = Region::new(RegionId(1), RegionConfig::small());
+        r.apply_replicated(in_128, 128, 7, &Bytes::from_static(b"x"), false);
+        r.rebuild_allocation_state();
+        assert!(r.slab(0).unwrap().is_placeholder());
+        assert_eq!(r.allocate(64).unwrap().slab, 2);
+        assert!(r.slot(Addr { slot: 0, ..in_64 }).is_err());
+        assert_eq!(
+            r.read_consistent_batch(&[in_64]),
+            vec![ConsistentRead::NotAllocated]
+        );
     }
 
     #[test]
@@ -619,7 +705,13 @@ mod tests {
         // (retained) snapshots must not keep dead replicas alive.
         let store = RegionStore::new(RegionConfig::small());
         let r = store.ensure(RegionId(7));
-        r.allocate(64).unwrap();
+        let a = r.allocate(64).unwrap();
+        // A slot handle taken now outlives both the slab table it was
+        // resolved through (the table grows below) and the region.
+        let held = r.slot(a).unwrap();
+        held.initialize(3, Bytes::from_static(b"held"));
+        let slab = Arc::downgrade(&r.slab(a.slab).unwrap());
+        r.allocate(128).unwrap();
         let weak = Arc::downgrade(&r);
         drop(r);
         // Churn the snapshot a few times so retained copies exist.
@@ -633,6 +725,17 @@ mod tests {
         );
         assert!(store.get(RegionId(7)).is_none());
         assert_eq!(store.hosted(), vec![RegionId(8), RegionId(9)]);
+        // The handle pins its slab — and only its slab — until it drops.
+        assert_eq!(&held.raw_data()[..], b"held");
+        assert_eq!(held.header_snapshot().ts, 3);
+        let also_held = held.clone();
+        drop(held);
+        assert!(slab.upgrade().is_some());
+        drop(also_held);
+        assert!(
+            slab.upgrade().is_none(),
+            "slab leaked past its last SlotRef"
+        );
     }
 
     #[test]

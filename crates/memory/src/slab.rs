@@ -1,8 +1,15 @@
 //! Slabs: fixed-size-class allocation areas within a region (Section 4.8).
+//!
+//! A slab is one allocation: its object slots sit inline, side by side, the
+//! way a FaRM region is contiguous memory with each object a header followed
+//! by its bytes. A slot is named from outside by a [`SlotRef`] — the slab
+//! plus an index — so holding one slot costs a reference count on the slab,
+//! not a heap object per slot.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::bitmap::FreeBitmap;
 use crate::object::ObjectSlot;
@@ -14,8 +21,6 @@ pub enum SlabError {
     Full,
     /// The slot index is out of range for this slab.
     BadSlot,
-    /// The slab cannot be reused because it still has allocated objects.
-    NotEmpty,
 }
 
 impl std::fmt::Display for SlabError {
@@ -23,23 +28,19 @@ impl std::fmt::Display for SlabError {
         match self {
             SlabError::Full => write!(f, "slab full"),
             SlabError::BadSlot => write!(f, "slot index out of range"),
-            SlabError::NotEmpty => write!(f, "slab still has allocated objects"),
         }
     }
 }
 
 impl std::error::Error for SlabError {}
 
-struct SlabInner {
-    object_size: usize,
-    slots: Vec<Arc<ObjectSlot>>,
-}
-
 /// A slab: `capacity` object slots of a single size class, owned (in the
 /// paper) by one thread of the primary's machine. All objects in a slab have
-/// the same size, which allows the compact free bitmap.
+/// the same size, which allows the compact free bitmap. Size class and
+/// capacity are fixed for the slab's lifetime.
 pub struct Slab {
-    inner: RwLock<SlabInner>,
+    object_size: usize,
+    slots: Box<[ObjectSlot]>,
     bitmap: Mutex<FreeBitmap>,
 }
 
@@ -47,33 +48,42 @@ impl Slab {
     /// Creates a slab of `capacity` slots of `object_size` bytes each.
     pub fn new(object_size: usize, capacity: usize) -> Self {
         assert!(capacity > 0, "slab capacity must be positive");
-        let slots = (0..capacity)
-            .map(|_| Arc::new(ObjectSlot::new_free()))
-            .collect();
         Slab {
-            inner: RwLock::new(SlabInner { object_size, slots }),
+            object_size,
+            slots: (0..capacity).map(|_| ObjectSlot::new_free()).collect(),
             bitmap: Mutex::new(FreeBitmap::new_all_free(capacity)),
         }
     }
 
-    /// The size class of objects in this slab.
+    /// An unsized, zero-capacity stand-in for a slab index a backup has heard
+    /// nothing about yet (see [`crate::Region::ensure_slab`]). No slot index
+    /// is valid in it and no size class matches it.
+    pub(crate) fn placeholder() -> Self {
+        Slab {
+            object_size: 0,
+            slots: Box::default(),
+            bitmap: Mutex::new(FreeBitmap::new_all_free(0)),
+        }
+    }
+
+    /// Whether this is a [`Slab::placeholder`].
+    pub fn is_placeholder(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The size class of objects in this slab (0 for a placeholder).
     pub fn object_size(&self) -> usize {
-        self.inner.read().object_size
+        self.object_size
     }
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.inner.read().slots.len()
+        self.slots.len()
     }
 
     /// Number of free slots.
     pub fn free_slots(&self) -> usize {
         self.bitmap.lock().free_count()
-    }
-
-    /// Whether every slot is free (candidate for slab reuse).
-    pub fn is_empty(&self) -> bool {
-        self.bitmap.lock().all_free()
     }
 
     /// Allocates a slot, returning its index.
@@ -96,14 +106,23 @@ impl Slab {
         Ok(())
     }
 
-    /// Returns the slot at `index`.
-    pub fn slot(&self, index: u32) -> Result<Arc<ObjectSlot>, SlabError> {
-        let inner = self.inner.read();
-        inner
-            .slots
-            .get(index as usize)
-            .cloned()
-            .ok_or(SlabError::BadSlot)
+    /// Borrows the slot at `index` for the duration of the call — what paths
+    /// that already pin the slab (a slab-table snapshot) use, with no
+    /// reference-count traffic.
+    pub fn get(&self, index: u32) -> Option<&ObjectSlot> {
+        self.slots.get(index as usize)
+    }
+
+    /// Returns an owning handle to the slot at `index`.
+    pub fn slot(self: &Arc<Self>, index: u32) -> Result<SlotRef, SlabError> {
+        if (index as usize) < self.slots.len() {
+            Ok(SlotRef {
+                slab: Arc::clone(self),
+                index,
+            })
+        } else {
+            Err(SlabError::BadSlot)
+        }
     }
 
     /// Rebuilds the free bitmap by scanning object headers. This is what a
@@ -111,32 +130,13 @@ impl Slab {
     /// maintained at the primary, so the new primary reconstructs it from the
     /// allocated bits in the headers (Section 4.8).
     pub fn rebuild_bitmap_from_headers(&self) {
-        let inner = self.inner.read();
-        let mut bm = FreeBitmap::new_all_free(inner.slots.len());
-        for (i, slot) in inner.slots.iter().enumerate() {
+        let mut bm = FreeBitmap::new_all_free(self.slots.len());
+        for (i, slot) in self.slots.iter().enumerate() {
             if slot.header_snapshot().allocated {
                 bm.mark_allocated(i);
             }
         }
         *self.bitmap.lock() = bm;
-    }
-
-    /// Reuses the (fully free) slab with a new object size: all slots are
-    /// recreated. The transaction engine must only call this after the GC
-    /// safe point has passed the time at which the slab was observed empty
-    /// (Figure 10) — that ordering is enforced one level up.
-    pub fn reuse_as(&self, new_object_size: usize, new_capacity: usize) -> Result<(), SlabError> {
-        let mut bm = self.bitmap.lock();
-        if !bm.all_free() {
-            return Err(SlabError::NotEmpty);
-        }
-        let mut inner = self.inner.write();
-        inner.object_size = new_object_size;
-        inner.slots = (0..new_capacity)
-            .map(|_| Arc::new(ObjectSlot::new_free()))
-            .collect();
-        *bm = FreeBitmap::new_all_free(new_capacity);
-        Ok(())
     }
 }
 
@@ -146,6 +146,38 @@ impl std::fmt::Debug for Slab {
             .field("object_size", &self.object_size())
             .field("capacity", &self.capacity())
             .field("free", &self.free_slots())
+            .finish()
+    }
+}
+
+/// An owning handle to one slot of a slab: the slab and an index into it.
+///
+/// Dereferences to the [`ObjectSlot`]. It keeps the **slab** alive, so it
+/// stays valid across slab-table growth and after the region is dropped from
+/// its store; the slab's memory goes when the last handle does. Meant for
+/// holders that outlive one call — a commit's held locks, the re-replication
+/// copy, tests poking at a slot; per-operation paths borrow through
+/// [`Slab::get`] instead.
+#[derive(Clone)]
+pub struct SlotRef {
+    slab: Arc<Slab>,
+    /// In range for `slab.slots`: checked by [`Slab::slot`], the only
+    /// constructor, and a slab never changes capacity.
+    index: u32,
+}
+
+impl Deref for SlotRef {
+    type Target = ObjectSlot;
+    fn deref(&self) -> &ObjectSlot {
+        &self.slab.slots[self.index as usize]
+    }
+}
+
+impl std::fmt::Debug for SlotRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SlotRef")
+            .field("index", &self.index)
+            .field("slot", &**self)
             .finish()
     }
 }
@@ -178,26 +210,14 @@ mod tests {
 
     #[test]
     fn bad_slot_indices_are_rejected() {
-        let slab = Slab::new(64, 2);
+        let slab = Arc::new(Slab::new(64, 2));
         assert_eq!(slab.free(5), Err(SlabError::BadSlot));
         assert!(slab.slot(5).is_err());
     }
 
     #[test]
-    fn reuse_requires_empty() {
-        let slab = Slab::new(64, 4);
-        let s = slab.allocate().unwrap();
-        assert_eq!(slab.reuse_as(128, 2), Err(SlabError::NotEmpty));
-        slab.free(s).unwrap();
-        slab.reuse_as(128, 2).unwrap();
-        assert_eq!(slab.object_size(), 128);
-        assert_eq!(slab.capacity(), 2);
-        assert!(slab.is_empty());
-    }
-
-    #[test]
     fn rebuild_bitmap_matches_headers() {
-        let slab = Slab::new(64, 4);
+        let slab = Arc::new(Slab::new(64, 4));
         // Simulate a backup's state: slots 1 and 3 hold allocated objects,
         // but the (primary-only) bitmap was never maintained here.
         slab.slot(1)
@@ -217,7 +237,7 @@ mod tests {
 
     #[test]
     fn slots_are_shared_references() {
-        let slab = Slab::new(64, 2);
+        let slab = Arc::new(Slab::new(64, 2));
         let idx = slab.allocate().unwrap();
         let s1 = slab.slot(idx).unwrap();
         let s2 = slab.slot(idx).unwrap();

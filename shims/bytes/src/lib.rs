@@ -4,100 +4,93 @@
 //! [`Bytes`], an immutable, cheaply cloneable byte buffer. Cloning shares the
 //! underlying allocation via `Arc` instead of copying, which is the property
 //! the transaction engine relies on (buffered writes are cloned into lock
-//! batches and replication messages without copying payloads).
+//! batches and replication messages without copying payloads). As in the real
+//! crate, an empty `Bytes` owns no heap memory.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable contiguous slice of memory.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// `None` is the empty buffer; every constructor normalises to it, so an
+    /// empty `Bytes` never allocates.
+    data: Option<Arc<[u8]>>,
 }
 
 impl Bytes {
-    /// Creates an empty `Bytes`.
-    pub fn new() -> Bytes {
-        Bytes {
-            data: Arc::from(&[][..]),
-        }
+    /// Creates an empty `Bytes` (no allocation).
+    pub const fn new() -> Bytes {
+        Bytes { data: None }
     }
 
     /// Creates `Bytes` from a static slice.
     pub fn from_static(slice: &'static [u8]) -> Bytes {
-        Bytes {
-            data: Arc::from(slice),
-        }
+        Bytes::copy_from_slice(slice)
     }
 
     /// Copies a slice into a new `Bytes`.
     pub fn copy_from_slice(slice: &[u8]) -> Bytes {
         Bytes {
-            data: Arc::from(slice),
+            data: (!slice.is_empty()).then(|| Arc::from(slice)),
         }
     }
 
     /// Length of the buffer in bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.deref().len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data.is_none()
     }
 
     /// Returns the contents as a `Vec`, copying.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.data.to_vec()
-    }
-}
-
-impl Default for Bytes {
-    fn default() -> Bytes {
-        Bytes::new()
+        self.deref().to_vec()
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        self.data.as_deref().unwrap_or(&[])
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes {
-            data: Arc::from(v.into_boxed_slice()),
-        }
+        Bytes::from(v.into_boxed_slice())
     }
 }
 
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Bytes {
-        Bytes { data: Arc::from(v) }
+        Bytes {
+            data: (!v.is_empty()).then(|| Arc::from(v)),
+        }
     }
 }
 
 impl From<&[u8]> for Bytes {
     fn from(v: &[u8]) -> Bytes {
-        Bytes { data: Arc::from(v) }
+        Bytes::copy_from_slice(v)
     }
 }
 
 impl From<&str> for Bytes {
     fn from(v: &str) -> Bytes {
-        Bytes {
-            data: Arc::from(v.as_bytes()),
-        }
+        Bytes::copy_from_slice(v.as_bytes())
     }
 }
 
@@ -109,36 +102,62 @@ impl From<String> for Bytes {
 
 impl<const N: usize> From<[u8; N]> for Bytes {
     fn from(v: [u8; N]) -> Bytes {
-        Bytes {
-            data: Arc::from(&v[..]),
-        }
+        Bytes::copy_from_slice(&v)
+    }
+}
+
+// Comparisons and hashing are those of the byte slice, so an empty `Bytes`
+// behaves the same however it was made.
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for Bytes {}
+
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Bytes) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Bytes {
+    fn cmp(&self, other: &Bytes) -> Ordering {
+        self[..].cmp(&other[..])
+    }
+}
+
+impl Hash for Bytes {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self[..].hash(state);
     }
 }
 
 impl PartialEq<[u8]> for Bytes {
     fn eq(&self, other: &[u8]) -> bool {
-        &self.data[..] == other
+        &self[..] == other
     }
 }
 
 impl PartialEq<Vec<u8>> for Bytes {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        self.data[..] == other[..]
+        self[..] == other[..]
     }
 }
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.data.iter().take(32) {
+        for &b in self.iter().take(32) {
             if b.is_ascii_graphic() || b == b' ' {
                 write!(f, "{}", b as char)?;
             } else {
                 write!(f, "\\x{b:02x}")?;
             }
         }
-        if self.data.len() > 32 {
-            write!(f, "…({} bytes)", self.data.len())?;
+        if self.len() > 32 {
+            write!(f, "…({} bytes)", self.len())?;
         }
         write!(f, "\"")
     }
@@ -148,7 +167,7 @@ impl<'a> IntoIterator for &'a Bytes {
     type Item = &'a u8;
     type IntoIter = std::slice::Iter<'a, u8>;
     fn into_iter(self) -> Self::IntoIter {
-        self.data.iter()
+        self.iter()
     }
 }
 
@@ -247,6 +266,35 @@ mod tests {
         assert!(!b.is_empty());
         assert!(Bytes::new().is_empty());
         assert_eq!(Bytes::from_static(b"xy").to_vec(), vec![b'x', b'y']);
+    }
+
+    #[test]
+    fn every_empty_bytes_is_the_same_value() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash_of(b: &Bytes) -> u64 {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        }
+        let empties = [
+            Bytes::new(),
+            Bytes::default(),
+            Bytes::from(Vec::new()),
+            Bytes::from_static(b""),
+            BytesMut::new().freeze(),
+        ];
+        for e in &empties {
+            assert!(e.is_empty() && e.data.is_none());
+            assert_eq!(e.len(), 0);
+            assert_eq!(e, &empties[0]);
+            assert_eq!(e.cmp(&empties[0]), Ordering::Equal);
+            assert_eq!(hash_of(e), hash_of(&empties[0]));
+            assert!(e < &Bytes::from_static(b"\0"));
+        }
+        // Hashing is the slice's, as it was when the field was `Arc<[u8]>`.
+        let mut h = DefaultHasher::new();
+        b"ab"[..].hash(&mut h);
+        assert_eq!(hash_of(&Bytes::from_static(b"ab")), h.finish());
     }
 
     #[test]
