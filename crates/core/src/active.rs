@@ -7,8 +7,8 @@
 //! the replacement for the seed's node-global `Mutex<BTreeMap>` which made
 //! every `begin`/`finish` serialize.
 //!
-//! Layout: a fixed table of [`SHARDS`] cache-line-sized shards of
-//! [`SLOTS_PER_SHARD`] atomic slots each. A slot holds either a read
+//! Layout: a fixed table of `SHARDS` cache-line-sized shards of
+//! `SLOTS_PER_SHARD` atomic slots each. A slot holds either a read
 //! timestamp or the [`EMPTY`] sentinel. Each thread is assigned a home shard
 //! (round-robin at first use), so in the common case `begin` is one
 //! compare-and-swap on an otherwise-idle cache line and `finish` is one

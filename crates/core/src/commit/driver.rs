@@ -15,9 +15,9 @@
 //!    gets its result: COMMIT-PRIMARY messages are *posted* (metered,
 //!    fire-and-forget) but not waited for.
 //! 2. **Background install** — the held locks, plan and write timestamp move
-//!    into a [`PendingInstall`](super::backlog::PendingInstall) on the
-//!    engine's backlog, drained opportunistically (at the next `begin`, in
-//!    pipeline dead time, by the background thread). A reader — or a locker,
+//!    into a `PendingInstall` on the engine's backlog, drained
+//!    opportunistically (at the next `begin`, in pipeline dead time, by the
+//!    background thread). A reader — or a locker,
 //!    or a validator — that hits a still-locked slot of a durable
 //!    transaction **helps complete that destination's install** instead of
 //!    backing off or aborting.
@@ -37,12 +37,12 @@
 //!
 //! Every phase is split into an *issue* half (meter the messages, run the
 //! destination-side work closures, note the completion deadline) and a
-//! *finish* half (act on the results). [`CommitDriver::advance`] runs
+//! *finish* half (act on the results). `CommitDriver::advance` runs
 //! finish-issue pairs until it either completes or must wait for a deadline,
 //! which it **returns instead of blocking on** — that is what lets a
 //! [`CommitPipeline`](crate::CommitPipeline) keep several transactions in
 //! their critical paths at once on one thread, multiplexing their verb
-//! completions. The plain [`CommitDriver::run`] used by
+//! completions. The plain `CommitDriver::run` used by
 //! [`Transaction::commit`](crate::Transaction::commit) is just
 //! `advance`-then-wait in a loop.
 //!
@@ -65,9 +65,9 @@
 //! messages are issued before any completion is awaited: the phase costs
 //! the *maximum* destination latency, not the sum, and the destination-side
 //! work (lock acquisition, old-version copies, installs) runs inside the
-//! verbs' work closures. Any failure routes through the single
-//! [`unwind`](super::unwind) step — the completion set always drains every
-//! in-flight sibling first, so unwind sees the locks of *every* destination,
+//! verbs' work closures. Any failure routes through the single `unwind`
+//! step — the completion set always drains every in-flight sibling first,
+//! so unwind sees the locks of *every* destination,
 //! releases them in descending global address order, and rolls back
 //! allocations.
 
@@ -191,7 +191,7 @@ pub(crate) enum DriverStep {
 }
 
 /// The commit driver; built by [`Transaction::commit`](crate::Transaction),
-/// consumed by [`CommitDriver::run`] or stepped by a
+/// consumed by `CommitDriver::run` or stepped by a
 /// [`CommitPipeline`](crate::CommitPipeline).
 pub struct CommitDriver {
     engine: Arc<NodeEngine>,
@@ -230,18 +230,13 @@ pub struct CommitDriver {
     completed: bool,
 }
 
-/// A parked driver may be stolen by another [`PipelinePool`] worker and
-/// advanced there: the state machine has no thread affinity (every phase is
-/// an issue/finish pair against engine-shared state), so moving the box
-/// moves everything. This assertion is what makes work-stealing sound — if
-/// a future field breaks `Send`, stealing must be removed, not worked
-/// around.
-///
-/// Its held locks are [`SlotRef`]s — slab handles that move into the install
-/// backlog and are applied from whichever thread drains it — hence the
-/// second line.
-///
-/// [`PipelinePool`]: crate::PipelinePool
+/// A driver has no thread affinity (every phase is an issue/finish pair
+/// against engine-shared state), and two things rely on it: a
+/// [`CommitPipeline`](crate::CommitPipeline) full of drivers moves into
+/// whichever client thread owns it (the `benchmark/` package's `Client:
+/// Send` does exactly that), and the held locks — [`SlotRef`]s, slab
+/// handles — move into the install backlog and are applied from whichever
+/// thread drains it, hence the second line.
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_shared_handle<T: Send + Sync + Clone>() {}

@@ -15,7 +15,7 @@
 //!   InstallPrimary → Truncate → OpLog`), one batched metered message per
 //!   destination per phase. Each phase is split into an *issue* and a
 //!   *finish* half so the driver can be stepped without blocking.
-//! * [`backlog`] — the three-stage commit-completion state: pending
+//! * `backlog` — the three-stage commit-completion state: pending
 //!   COMMIT-PRIMARY installs (claimable by helpers), backup redo logs, and
 //!   per-coordinator `truncate_below` watermarks piggybacked on outgoing
 //!   verbs instead of standalone TRUNCATE messages.
@@ -23,10 +23,7 @@
 //!   to `depth` transactions in their commit critical paths at once,
 //!   multiplexing their completion deadlines through a deadline-heap
 //!   reactor.
-//! * [`pool`] — the multi-worker [`PipelinePool`]: N pipeline workers fed
-//!   from a bounded submit ring, work-stealing expired flights and
-//!   install-backlog chunks from each other.
-//! * [`unwind`] — the single abort path: every failure releases all locks
+//! * `unwind` — the single abort path: every failure releases all locks
 //!   held across every destination and rolls back allocations.
 //!
 //! [`Transaction`](crate::Transaction) builds the plan and hands it to the
@@ -36,10 +33,8 @@ pub(crate) mod backlog;
 pub mod driver;
 pub mod pipeline;
 pub mod plan;
-pub mod pool;
 mod unwind;
 
 pub use driver::{CommitDriver, CommitPhase};
 pub use pipeline::{CommitPipeline, PipelineTimings};
 pub use plan::{CommitPlan, DestinationBatch, IntentKind, RegionGroup, WriteIntent};
-pub use pool::{PipelinePool, PoolConfig, PoolStats};

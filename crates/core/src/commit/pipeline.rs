@@ -7,10 +7,10 @@
 //! the sleeps are pure flight time — the thread has nothing to do, and a
 //! real FaRM worker would be multiplexing many transactions over its
 //! completion queues. [`CommitPipeline`] reproduces that: each submitted
-//! transaction's [`CommitDriver`](super::CommitDriver) is stepped with
-//! [`advance`](super::CommitDriver::advance), which *returns* its phase
-//! deadlines instead of blocking on them, so per-thread throughput scales
-//! toward `depth / max-phase-latency` instead of `1 / total-latency`.
+//! transaction's [`CommitDriver`] is stepped with `advance`, which
+//! *returns* its phase deadlines instead of blocking on them, so per-thread
+//! throughput scales toward `depth / max-phase-latency` instead of
+//! `1 / total-latency`.
 //!
 //! The scheduler is a **deadline-heap reactor**: waiting flights sit in a
 //! binary min-heap ordered by wake deadline, so a sweep pops only the
@@ -20,16 +20,16 @@
 //! fall within a 2 µs wake quantum: it targets the latest deadline inside
 //! the window, so one wakeup advances every flight in the batch. No verb
 //! ever completes early — the sleep target is itself a deadline, and all
-//! batched deadlines are at or before it. Dead time (every in-flight commit waiting on the wire) is spent
-//! draining the engine's pending-install backlog, exactly where a real
-//! worker would process its completion-queue backlog.
+//! batched deadlines are at or before it. Dead time (every in-flight commit
+//! waiting on the wire) is spent draining the engine's pending-install
+//! backlog, exactly where a real worker would process its completion-queue
+//! backlog.
 //!
 //! The reactor keeps per-flight cycle accounting ([`PipelineTimings`]):
 //! wall-clock splits into *issue* (advancing drivers — the serial CPU),
 //! *wait* (deadline sleeps), and *drain* (backlog installs), which is what
 //! the `benchmark/` package's `kv_pipeline_dc` workload reads to report the
-//! serial fraction and CPU per commit. For the multi-worker
-//! version with work-stealing, see [`PipelinePool`](super::PipelinePool).
+//! serial fraction and CPU per commit.
 //!
 //! In-flight transactions of one pipeline are truly concurrent commits:
 //! they must write **disjoint** objects, or the later one aborts on a lock
@@ -49,10 +49,10 @@ use super::driver::{CommitDriver, DriverStep};
 /// is waiting out. Ordered so the **earliest** deadline is at the top of a
 /// `BinaryHeap` (which is a max-heap), with ties broken toward the older
 /// submission so completion order stays deterministic under equal deadlines.
-pub(crate) struct Waiting {
-    pub(crate) wake: Instant,
-    pub(crate) seq: u64,
-    pub(crate) driver: Box<CommitDriver>,
+struct Waiting {
+    wake: Instant,
+    seq: u64,
+    driver: Box<CommitDriver>,
 }
 
 impl PartialEq for Waiting {
@@ -80,13 +80,12 @@ impl Ord for Waiting {
     }
 }
 
-/// Per-flight cycle accounting for one reactor (or one pool worker).
+/// Per-flight cycle accounting for one reactor.
 ///
-/// Wall-clock decomposes as `issue + wait + drain + steal` plus untracked
-/// scheduler epsilon. `issue` is the serial protocol CPU (building records,
-/// lock tables, indexes); `wait` is deadline flight time; `drain` is backlog
-/// install work done in dead time; `steal` is time spent advancing flights
-/// stolen from another worker's deck (always zero for a single pipeline).
+/// Wall-clock decomposes as `issue + wait + drain` plus untracked scheduler
+/// epsilon. `issue` is the serial protocol CPU (building records, lock
+/// tables, indexes); `wait` is deadline flight time; `drain` is backlog
+/// install work done in dead time.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PipelineTimings {
     /// Nanoseconds spent advancing drivers (issue/finish halves of phases).
@@ -95,8 +94,6 @@ pub struct PipelineTimings {
     pub wait_ns: u64,
     /// Nanoseconds spent draining the pending-install backlog in dead time.
     pub drain_ns: u64,
-    /// Nanoseconds spent advancing flights stolen from other workers.
-    pub steal_ns: u64,
     /// Sweeps that advanced at least one flight.
     pub sweeps: u64,
     /// Deadline sleeps taken (each may complete a whole batch of verbs).
@@ -111,7 +108,7 @@ pub struct PipelineTimings {
 impl PipelineTimings {
     /// CPU-busy nanoseconds: everything but deadline waits.
     pub fn busy_ns(&self) -> u64 {
-        self.issue_ns + self.drain_ns + self.steal_ns
+        self.issue_ns + self.drain_ns
     }
 
     /// Fraction of tracked wall-clock spent CPU-busy — the serial fraction
@@ -126,29 +123,16 @@ impl PipelineTimings {
             busy / wall
         }
     }
-
-    /// Field-wise accumulation (used to merge per-worker timings).
-    pub fn merge(&mut self, other: &PipelineTimings) {
-        self.issue_ns += other.issue_ns;
-        self.wait_ns += other.wait_ns;
-        self.drain_ns += other.drain_ns;
-        self.steal_ns += other.steal_ns;
-        self.sweeps += other.sweeps;
-        self.wakeups += other.wakeups;
-        self.coalesced += other.coalesced;
-        self.completed += other.completed;
-    }
 }
 
-/// Wake quantum of the reactors' deadline coalescing (this pipeline's and
-/// the pool workers').
+/// Wake quantum of the reactor's deadline coalescing.
 const WAKE_QUANTUM: Duration = Duration::from_micros(2);
 
 /// The coalesced sleep target of a deadline heap: the **latest** deadline
 /// within [`WAKE_QUANTUM`] of the earliest, so one wakeup advances the whole
 /// batch. Everything batched is at or before the target, so no verb
 /// completes early.
-pub(crate) fn coalesced_target(waiting: &BinaryHeap<Waiting>) -> Option<Instant> {
+fn coalesced_target(waiting: &BinaryHeap<Waiting>) -> Option<Instant> {
     let earliest = waiting.peek()?.wake;
     let horizon = earliest + WAKE_QUANTUM;
     waiting
@@ -167,8 +151,8 @@ pub struct CommitPipeline {
     depth: usize,
     seq: u64,
     /// Flights ready to advance now (never issued, or handed over ready).
-    /// Boxed on purpose: drivers shuttle between here, [`Waiting`] heap
-    /// entries, and cross-thread steals without moving the large struct.
+    /// Boxed on purpose: drivers shuttle between here and [`Waiting`] heap
+    /// entries without moving the large struct.
     #[allow(clippy::vec_box)]
     ready: Vec<Box<CommitDriver>>,
     /// Flights waiting out a deadline, earliest on top.

@@ -280,29 +280,17 @@ impl NodeEngine {
     /// backlog with nothing queued and nothing being applied costs one
     /// atomic load.
     pub fn drain_pending_installs(&self) -> usize {
-        self.drain_pending_installs_up_to(usize::MAX)
-    }
-
-    /// Like [`NodeEngine::drain_pending_installs`], but claims at most
-    /// `limit` queued commits per call. Pipeline-pool workers drain in
-    /// bounded chunks so a deep backlog cannot make them miss the next
-    /// flight deadline; a single pipeline's dead time uses the full drain.
-    pub fn drain_pending_installs_up_to(&self, limit: usize) -> usize {
-        if limit == 0 || self.installs_len.load(Ordering::Acquire) == 0 {
+        if self.installs_len.load(Ordering::Acquire) == 0 {
             return 0;
         }
-        let mut done = 0;
-        // Take the claimed chunk under one lock; the installs themselves run
+        // Take the whole queue under one lock; the installs themselves run
         // outside it so concurrent enqueuers never wait on install work.
-        let drained: Vec<Arc<PendingInstall>> = {
-            let mut queue = self.installs.lock();
-            let take = queue.len().min(limit);
-            queue.drain(..take).collect()
-        };
+        let drained: Vec<Arc<PendingInstall>> = self.installs.lock().drain(..).collect();
         if drained.is_empty() {
             // Counted but not queued: another drain is applying them.
             return 0;
         }
+        let mut done = 0;
         for install in &drained {
             for di in 0..install.dest_count() {
                 if install.install_dest(self, &self.backlog, di) {
@@ -310,7 +298,7 @@ impl NodeEngine {
                 }
             }
         }
-        // The claimed chunk stays counted until it is applied, so a
+        // The claimed queue stays counted until it is applied, so a
         // concurrent `quiesce` never mistakes "claimed" for "installed".
         self.installs_len
             .fetch_sub(drained.len(), Ordering::Release);

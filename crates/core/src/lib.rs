@@ -56,9 +56,7 @@ pub mod stats;
 pub mod tx;
 
 pub use active::{ActiveToken, ActiveTxTable};
-pub use commit::{
-    CommitDriver, CommitPhase, CommitPipeline, PipelinePool, PipelineTimings, PoolConfig, PoolStats,
-};
+pub use commit::{CommitDriver, CommitPhase, CommitPipeline, PipelineTimings};
 pub use engine::{Engine, NodeEngine, RetryPolicy};
 pub use error::{AbortReason, TxError};
 pub use opts::{EngineConfig, EngineMode, IsolationLevel, MvPolicy, TxOptions};

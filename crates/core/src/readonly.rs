@@ -19,8 +19,6 @@
 //! failure in node order is returned (the remaining slaves still run to
 //! completion — there is no cross-node cancellation, matching the
 //! at-a-snapshot model where slaves cannot invalidate each other).
-//! [`ParallelQuery::map_nodes_seq`] is the sequential escape hatch for
-//! closures that need `FnMut` or must not run concurrently.
 //!
 //! The snapshot stays pinned (protected from GC) from
 //! [`ParallelQuery::start`] until [`ParallelQuery::finish`], via a
@@ -120,25 +118,6 @@ impl ParallelQuery {
         results.into_iter().collect()
     }
 
-    /// Sequential variant of [`ParallelQuery::map_nodes`]: runs `work` on
-    /// every node in the caller's thread, in order. Use when the closure
-    /// needs mutable state (`FnMut`) or must not execute concurrently.
-    pub fn map_nodes_seq<T>(
-        &self,
-        nodes: &[NodeId],
-        mut work: impl FnMut(&Arc<NodeEngine>, &mut Transaction) -> Result<T, TxError>,
-    ) -> Result<Vec<T>, TxError> {
-        let mut out = Vec::with_capacity(nodes.len());
-        for &n in nodes {
-            let node_engine = self.engine.node(n);
-            let mut tx = self.slave_on(n)?;
-            let value = work(&node_engine, &mut tx)?;
-            let _ = tx.commit()?;
-            out.push(value);
-        }
-        Ok(out)
-    }
-
     /// Completes the query, releasing the snapshot so garbage collection can
     /// advance past it. (Dropping the query releases it too — an error path
     /// that propagates out with `?` must not pin the node's OAT forever.)
@@ -195,15 +174,6 @@ mod tests {
             vec![2, 2, 2],
             "slaves must read at the query snapshot"
         );
-        // The sequential escape hatch sees the same snapshot.
-        let mut seen = Vec::new();
-        query
-            .map_nodes_seq(&nodes, |_engine, tx| {
-                seen.push(tx.read(addr)?[0]);
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(seen, vec![2, 2, 2]);
         query.finish();
         engine.shutdown();
     }

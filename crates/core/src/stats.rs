@@ -87,13 +87,6 @@ pub struct EngineStats {
     /// Standalone truncation flushes sent because a watermark sat idle past
     /// [`crate::EngineConfig::truncate_idle_flush`].
     pub truncate_flushes: AtomicU64,
-    // ---- Pipeline-pool work-stealing counters ---------------------------
-    /// Expired pipeline flights advanced by a pool worker that does not own
-    /// them (the owner was stuck in a deadline sleep or busy issuing).
-    pub pipeline_steals: AtomicU64,
-    /// Bounded install-backlog chunks drained by idle pipeline-pool workers
-    /// stealing stage-2 completion work.
-    pub pipeline_steal_drains: AtomicU64,
     // ---- Failure-recovery counters --------------------------------------
     /// Decided (early-acked) transactions of a dead coordinator rolled
     /// forward by survivors: their pending COMMIT-PRIMARY installs were
@@ -173,10 +166,6 @@ pub struct EngineStatsSnapshot {
     pub truncations_piggybacked: u64,
     /// Standalone idle truncation flushes.
     pub truncate_flushes: u64,
-    /// Expired pipeline flights advanced by a non-owner pool worker.
-    pub pipeline_steals: u64,
-    /// Install-backlog chunks drained by idle pipeline-pool workers.
-    pub pipeline_steal_drains: u64,
     /// Dead-coordinator transactions rolled forward by survivors.
     pub orphans_rolled_forward: u64,
     /// Undecided dead-coordinator transactions unwound.
@@ -221,8 +210,6 @@ impl EngineStats {
             install_helps: self.install_helps.load(Ordering::Relaxed),
             truncations_piggybacked: self.truncations_piggybacked.load(Ordering::Relaxed),
             truncate_flushes: self.truncate_flushes.load(Ordering::Relaxed),
-            pipeline_steals: self.pipeline_steals.load(Ordering::Relaxed),
-            pipeline_steal_drains: self.pipeline_steal_drains.load(Ordering::Relaxed),
             orphans_rolled_forward: self.orphans_rolled_forward.load(Ordering::Relaxed),
             orphans_rolled_back: self.orphans_rolled_back.load(Ordering::Relaxed),
             retries_absorbed: self.retries_absorbed.load(Ordering::Relaxed),
@@ -338,8 +325,6 @@ impl EngineStatsSnapshot {
             install_helps: self.install_helps - earlier.install_helps,
             truncations_piggybacked: self.truncations_piggybacked - earlier.truncations_piggybacked,
             truncate_flushes: self.truncate_flushes - earlier.truncate_flushes,
-            pipeline_steals: self.pipeline_steals - earlier.pipeline_steals,
-            pipeline_steal_drains: self.pipeline_steal_drains - earlier.pipeline_steal_drains,
             orphans_rolled_forward: self.orphans_rolled_forward - earlier.orphans_rolled_forward,
             orphans_rolled_back: self.orphans_rolled_back - earlier.orphans_rolled_back,
             retries_absorbed: self.retries_absorbed - earlier.retries_absorbed,
@@ -382,8 +367,6 @@ impl EngineStatsSnapshot {
             install_helps: self.install_helps + other.install_helps,
             truncations_piggybacked: self.truncations_piggybacked + other.truncations_piggybacked,
             truncate_flushes: self.truncate_flushes + other.truncate_flushes,
-            pipeline_steals: self.pipeline_steals + other.pipeline_steals,
-            pipeline_steal_drains: self.pipeline_steal_drains + other.pipeline_steal_drains,
             orphans_rolled_forward: self.orphans_rolled_forward + other.orphans_rolled_forward,
             orphans_rolled_back: self.orphans_rolled_back + other.orphans_rolled_back,
             retries_absorbed: self.retries_absorbed + other.retries_absorbed,

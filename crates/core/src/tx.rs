@@ -2,9 +2,8 @@
 //! allocation and freeing.
 //!
 //! The commit protocol itself lives in [`crate::commit`]: `commit` builds a
-//! [`CommitPlan`](crate::commit::CommitPlan) grouping the transaction's
-//! sets by destination machine and hands it to the
-//! [`CommitDriver`](crate::commit::CommitDriver) phase state machine.
+//! [`CommitPlan`] grouping the transaction's sets by destination machine and
+//! hands it to the [`CommitDriver`] phase state machine.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;

@@ -1,13 +1,11 @@
-//! Reactor and pipeline-pool lifecycle tests: the deadline-heap reactor's
-//! edge cases (drop with in-flight commits, depth backpressure, non-blocking
-//! poll, intra-pipeline conflicts) and the multi-worker pool (disjoint
-//! commits across workers, submit-ring backpressure, deterministic drain on
-//! shutdown).
+//! Reactor lifecycle tests: the deadline-heap reactor's edge cases (drop
+//! with in-flight commits, depth backpressure, non-blocking poll,
+//! intra-pipeline conflicts) and its cycle accounting.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use farm_core::{Engine, EngineConfig, NodeId, PoolConfig, TxError};
+use farm_core::{Engine, EngineConfig, NodeId, TxError};
 use farm_kernel::ClusterConfig;
 use farm_memory::{Addr, RegionId};
 use farm_net::LatencyModel;
@@ -214,93 +212,38 @@ fn intra_pipeline_write_conflict_aborts_cleanly() {
     engine.shutdown();
 }
 
-/// A pool spreads disjoint commits across its workers and completes them
-/// all; the merged cycle accounting shows both issue work and flight waits.
+/// The reactor's cycle accounting: disjoint commits through one pipeline
+/// record both issue work and deadline waits, every commit is counted, and
+/// busy time is exactly issue plus drain — what `kv_pipeline_dc` derives its
+/// `core.pipeline` serial fraction and CPU per commit from.
 #[test]
-fn pool_commits_disjoint_transactions_across_workers() {
+fn pipeline_timings_split_busy_and_wait() {
+    const N: usize = 24;
     let engine = engine_with(spin_model());
     let node = engine.node(NodeId(0));
-    let addrs = alloc_pool(&engine, NodeId(0), 24);
+    let addrs = alloc_pool(&engine, NodeId(0), N);
 
-    let pool = node.pipeline_pool(PoolConfig::new(2, 4));
+    let mut pipeline = node.pipeline(4);
     for &addr in &addrs {
         let mut tx = node.begin();
         tx.overwrite(addr, vec![9u8; 16]).unwrap();
-        pool.submit(tx);
+        pipeline.submit(tx);
     }
-    let results = pool.drain();
-    assert_eq!(results.len(), 24);
+    let results = pipeline.drain();
+    assert_eq!(results.len(), N);
     for r in &results {
-        r.as_ref().expect("disjoint pooled commits all succeed");
+        r.as_ref().expect("disjoint pipelined commits all succeed");
     }
-    let stats = pool.stats();
-    assert_eq!(stats.completed, 24);
-    assert!(stats.timings.issue_ns > 0, "no issue work recorded");
-    assert!(stats.timings.wait_ns > 0, "no deadline waits recorded");
-    assert!(stats.timings.serial_fraction() < 1.0);
+    let t = pipeline.timings();
+    assert_eq!(t.completed, N as u64);
+    assert!(t.issue_ns > 0, "no issue work recorded");
+    assert!(t.wait_ns > 0, "no deadline waits recorded");
+    assert!(t.wakeups >= 1, "no deadline sleep taken");
+    assert_eq!(t.busy_ns(), t.issue_ns + t.drain_ns);
+    let s = t.serial_fraction();
+    assert!(s > 0.0 && s < 1.0, "serial fraction {s} outside (0, 1)");
 
     engine.quiesce();
     assert_unlocked_with(&engine, &addrs, 9);
-    engine.shutdown();
-}
-
-/// The submit ring is bounded: while the single depth-1 worker is deep in a
-/// multi-ms flight, the ring fills and `try_submit` refuses instead of
-/// growing without bound; blocking `submit` had to wait for that same
-/// backpressure earlier in the test (it completed regardless).
-#[test]
-fn submit_ring_overflow_applies_backpressure() {
-    let engine = engine_with(huge_model());
-    let node = engine.node(NodeId(0));
-    let addrs = alloc_pool(&engine, NodeId(0), 4);
-
-    let pool = node.pipeline_pool(PoolConfig {
-        workers: 1,
-        depth: 1,
-        ring_capacity: 2,
-    });
-    // One for the worker (it pops and enters a tens-of-ms flight) and two
-    // to fill the ring behind it.
-    for &addr in &addrs[..3] {
-        let mut tx = node.begin();
-        tx.overwrite(addr, vec![1u8; 16]).unwrap();
-        pool.submit(tx);
-    }
-    let mut refused = node.begin();
-    refused.overwrite(addrs[3], vec![1u8; 16]).unwrap();
-    match pool.try_submit(refused) {
-        Err(tx) => drop(tx), // returned un-submitted; dropping holds no locks
-        Ok(()) => panic!("try_submit into a full ring must refuse"),
-    }
-    let results = pool.drain();
-    assert_eq!(results.len(), 3);
-    assert!(results.iter().all(|r| r.is_ok()));
-    engine.shutdown();
-}
-
-/// `shutdown` is a deterministic drain: every accepted transaction
-/// completes (no primary lock leaks), results stay retrievable afterwards,
-/// and a second shutdown is a no-op.
-#[test]
-fn shutdown_drains_deterministically() {
-    let engine = engine_with(spin_model());
-    let node = engine.node(NodeId(0));
-    let addrs = alloc_pool(&engine, NodeId(0), 10);
-
-    let mut pool = node.pipeline_pool(PoolConfig::new(2, 2));
-    for &addr in &addrs {
-        let mut tx = node.begin();
-        tx.overwrite(addr, vec![2u8; 16]).unwrap();
-        pool.submit(tx);
-    }
-    pool.shutdown();
-    assert_eq!(pool.pending(), 0, "shutdown left accepted work unfinished");
-    let results = pool.take();
-    assert_eq!(results.len(), 10);
-    assert!(results.iter().all(|r| r.is_ok()));
-    pool.shutdown(); // idempotent
-
-    engine.quiesce();
-    assert_unlocked_with(&engine, &addrs, 2);
     engine.shutdown();
 }

@@ -66,7 +66,8 @@ impl Slab {
         }
     }
 
-    /// Whether this is a [`Slab::placeholder`].
+    /// Whether this is a placeholder: the zero-capacity stand-in for a slab
+    /// index a backup has heard nothing about yet.
     pub fn is_placeholder(&self) -> bool {
         self.slots.is_empty()
     }

@@ -1,10 +1,10 @@
 //! Minimal in-tree stand-in for the `crossbeam` crate.
 //!
 //! Provides `crossbeam::channel`: an unbounded multi-producer,
-//! **multi-consumer** channel (std's mpsc receiver is single-consumer, which
-//! is why the worker pool — several threads draining one inbox — needs this).
-//! Implemented as a `Mutex<VecDeque>` plus a condvar; throughput is more than
-//! sufficient for the simulated control plane this workspace routes over it.
+//! **multi-consumer** channel (std's mpsc receiver is single-consumer).
+//! Implemented as a `Mutex<VecDeque>` plus a condvar. No workspace code
+//! calls it today: `farm-net` still declares the dependency only because
+//! dropping it would rewrite the frozen `benchmark/Cargo.lock`.
 
 pub mod channel {
     //! Multi-producer multi-consumer FIFO channel.
