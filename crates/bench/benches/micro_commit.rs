@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the commit protocol: read-only, single-
-//! object-update and multi-object-update transactions, FaRMv2 vs baseline.
+//! object-update and multi-object-update transactions.
 //!
 //! Besides latency, each configuration reports **messages per commit**
 //! (from the batch-aware `NetStats` counters): the batched commit driver
@@ -43,71 +43,67 @@ fn bench_commit(c: &mut Criterion) {
     group
         .measurement_time(Duration::from_secs(2))
         .sample_size(20);
-    for (name, cfg) in [
-        ("farmv2", EngineConfig::default()),
-        ("baseline", EngineConfig::baseline()),
-    ] {
-        let engine = Engine::start_cluster(ClusterConfig::test(3), cfg);
-        let node = engine.node(NodeId(0));
-        let mut setup = node.begin();
-        let addrs: Vec<_> = (0..8)
-            .map(|_| setup.alloc(vec![0u8; 64]).unwrap())
-            .collect();
-        setup.commit().unwrap();
+    let name = "farmv2";
+    let engine = Engine::start_cluster(ClusterConfig::test(3), EngineConfig::default());
+    let node = engine.node(NodeId(0));
+    let mut setup = node.begin();
+    let addrs: Vec<_> = (0..8)
+        .map(|_| setup.alloc(vec![0u8; 64]).unwrap())
+        .collect();
+    setup.commit().unwrap();
 
-        group.bench_function(format!("{name}_read_only"), |b| {
-            b.iter(|| {
-                let mut tx = node.begin();
-                tx.read(addrs[0]).unwrap();
-                tx.commit().unwrap()
-            })
-        });
-        group.bench_function(format!("{name}_single_update"), |b| {
-            b.iter(|| {
-                let mut tx = node.begin();
-                tx.write(addrs[0], vec![1u8; 64]).unwrap();
-                tx.commit().unwrap()
-            })
-        });
-        group.bench_function(format!("{name}_multi_update"), |b| {
-            b.iter(|| {
-                let mut tx = node.begin();
-                for a in &addrs {
-                    tx.write(*a, vec![2u8; 64]).unwrap();
-                }
-                tx.commit().unwrap()
-            })
-        });
+    group.bench_function(format!("{name}_read_only"), |b| {
+        b.iter(|| {
+            let mut tx = node.begin();
+            tx.read(addrs[0]).unwrap();
+            tx.commit().unwrap()
+        })
+    });
+    group.bench_function(format!("{name}_single_update"), |b| {
+        b.iter(|| {
+            let mut tx = node.begin();
+            tx.write(addrs[0], vec![1u8; 64]).unwrap();
+            tx.commit().unwrap()
+        })
+    });
+    group.bench_function(format!("{name}_multi_update"), |b| {
+        b.iter(|| {
+            let mut tx = node.begin();
+            for a in &addrs {
+                tx.write(*a, vec![2u8; 64]).unwrap();
+            }
+            tx.commit().unwrap()
+        })
+    });
 
-        // Message-per-commit accounting for the same three shapes.
-        report_messages_per_commit(
-            &format!("{name}_single_update"),
-            &engine,
-            NodeId(0),
-            100,
-            || {
-                let mut tx = node.begin();
-                tx.write(addrs[0], vec![1u8; 64]).unwrap();
-                tx.commit().unwrap();
-            },
-        );
-        report_messages_per_commit(
-            &format!("{name}_multi_update_8"),
-            &engine,
-            NodeId(0),
-            100,
-            || {
-                let mut tx = node.begin();
-                for a in &addrs {
-                    tx.write(*a, vec![2u8; 64]).unwrap();
-                }
-                tx.commit().unwrap();
-            },
-        );
+    // Message-per-commit accounting for the same three shapes.
+    report_messages_per_commit(
+        &format!("{name}_single_update"),
+        &engine,
+        NodeId(0),
+        100,
+        || {
+            let mut tx = node.begin();
+            tx.write(addrs[0], vec![1u8; 64]).unwrap();
+            tx.commit().unwrap();
+        },
+    );
+    report_messages_per_commit(
+        &format!("{name}_multi_update_8"),
+        &engine,
+        NodeId(0),
+        100,
+        || {
+            let mut tx = node.begin();
+            for a in &addrs {
+                tx.write(*a, vec![2u8; 64]).unwrap();
+            }
+            tx.commit().unwrap();
+        },
+    );
 
-        engine.shutdown();
-        engine.cluster().shutdown();
-    }
+    engine.shutdown();
+    engine.cluster().shutdown();
     group.finish();
 }
 

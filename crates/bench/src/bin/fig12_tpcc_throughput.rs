@@ -1,6 +1,6 @@
-//! Figure 12: TPC-C throughput of BASELINE vs FaRMv2 under
-//! serializable/SI × strict/non-strict (single-version mode, as in the
-//! paper's default TPC-C configuration).
+//! Figure 12: TPC-C throughput of FaRMv2 under serializable/SI ×
+//! strict/non-strict (single-version mode, as in the paper's default TPC-C
+//! configuration).
 
 use farm_bench::{bench_duration, run_tpcc, small_tpcc, tpcc_setup};
 use farm_core::{EngineConfig, TxOptions};
@@ -11,13 +11,6 @@ fn main() {
     let duration = bench_duration(2.0);
     println!("system,isolation,strict,neworders_per_s,abort_rate,p99_us");
     let configs: Vec<(&str, EngineConfig, TxOptions, &str, &str)> = vec![
-        (
-            "BASELINE",
-            EngineConfig::baseline(),
-            TxOptions::serializable(),
-            "serializable",
-            "strict",
-        ),
         (
             "FaRMv2",
             EngineConfig::default(),

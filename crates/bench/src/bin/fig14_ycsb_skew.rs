@@ -1,7 +1,6 @@
 //! Figure 14: YCSB throughput (50/50 read/update) as a function of the Zipf
-//! skew parameter θ, for BASELINE and FaRMv2 — plus a FaRMv2 multiget
-//! variant whose reads fetch 8 keys per transaction through the batched
-//! `read_many` path.
+//! skew parameter θ, for FaRMv2 — plus a multiget variant whose reads fetch
+//! 8 keys per transaction through the batched `read_many` path.
 //!
 //! Besides throughput, each row reports **messages per logical read**
 //! (`msgs_per_read`): 1.0 when every read is its own metered message,
@@ -15,15 +14,11 @@ use farm_workloads::YcsbConfig;
 fn main() {
     let duration = bench_duration(1.5);
     println!("system,theta,ops_per_s,abort_rate,msgs_per_read");
-    for (name, cfg, multiget) in [
-        ("BASELINE", EngineConfig::baseline(), 0),
-        ("FaRMv2", EngineConfig::default(), 0),
-        ("FaRMv2-mget8", EngineConfig::default(), 8),
-    ] {
+    for (name, multiget) in [("FaRMv2", 0), ("FaRMv2-mget8", 8)] {
         for theta in [0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.99] {
             let (engine, db) = ycsb_setup(
                 3,
-                cfg,
+                EngineConfig::default(),
                 YcsbConfig {
                     keys: 5_000,
                     value_size: 64,

@@ -336,8 +336,8 @@ impl NodeClock {
                 // periodic yield as a backstop. Without the eager yield, a
                 // slave node's ~2 µs uncertainty waits never reached the
                 // old 1-in-128 yield at all (each loop iteration spans tens
-                // of nanoseconds), which is what sank the fig16 2-thread
-                // point on single-core hosts.
+                // of nanoseconds), which is what sank 2-thread throughput
+                // on single-core hosts (measured in CHANGES.md, PRs 4–5).
                 if remaining > 1_000 || spins.is_multiple_of(64) {
                     std::thread::yield_now();
                 } else {

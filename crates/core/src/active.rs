@@ -183,8 +183,8 @@ impl ActiveTxTable {
     /// reads one occupancy word per shard and only walks the slots of
     /// shards that hold registrations: with T worker threads the scan costs
     /// `64 + 8·min(T, 64)` loads instead of a fixed 512, which is what made
-    /// the 4/8-thread fig16 sweep pay more per control round than the
-    /// global-mutex baseline it replaced.
+    /// 4 and 8 worker threads pay more per control round than the
+    /// global-mutex table it replaced (measured in CHANGES.md, PRs 4–5).
     ///
     /// Skipping a shard whose `used` reads 0 is safe: `register` raises the
     /// count *before* claiming a slot, so only a registration that has not

@@ -485,7 +485,6 @@ impl Backlog {
             // A real TRUNCATE message: the idle-connection fallback.
             engine.meter.rpc_batch_deferred(1, 16);
             EngineStats::bump(&engine.stats.truncate_flushes);
-            EngineStats::bump(&engine.stats.truncate_batches);
         } else {
             EngineStats::bump(&engine.stats.truncations_piggybacked);
         }

@@ -1,12 +1,11 @@
 //! The commit driver: an explicit phase state machine executing the FaRMv2
-//! commit protocol (Figure 3) — or the FaRMv1-style baseline — with every
-//! phase batched per destination machine and **fanned out concurrently**
-//! through the net crate's completion-queue abstraction
-//! ([`CompletionSet`]).
+//! commit protocol (Figure 3), with every phase batched per destination
+//! machine and **fanned out concurrently** through the net crate's
+//! completion-queue abstraction ([`CompletionSet`]).
 //!
 //! # The three-stage commit lifecycle
 //!
-//! A FaRMv2 commit (single- or multi-version, serializable or SI) is split
+//! Every commit (single- or multi-version, serializable or SI) is split
 //! into:
 //!
 //! 1. **Critical path** — `Lock → AcquireWriteTs → Validate →
@@ -28,11 +27,6 @@
 //!    (with a timed flush for idle connections), and delivery *applies* the
 //!    backup's redo-log records to its replica.
 //!
-//! The FaRMv1 baseline (its write timestamps are install results) and
-//! operation-logging mode (durability there is the op-log append) keep the
-//! fully synchronous tail `... → InstallPrimary → Truncate → [OperationLog]
-//! → Done`.
-//!
 //! # Resumable stepping
 //!
 //! Every phase is split into an *issue* half (meter the messages, run the
@@ -47,7 +41,7 @@
 //! `advance`-then-wait in a loop.
 //!
 //! Phase order (serializable):
-//! `Lock → AcquireWriteTs → Validate → ReplicateBackups → ...`. The
+//! `Lock → AcquireWriteTs → Validate → ReplicateBackups`. The
 //! write-timestamp **uncertainty wait is deferred**: `AcquireWriteTs` only
 //! takes the interval's upper bound, and the wait runs while the
 //! COMMIT-BACKUP writes are in flight (Figure 4) — the commit pays
@@ -55,17 +49,14 @@
 //!
 //! Phase order (snapshot isolation): validation is skipped and the
 //! write-timestamp acquisition itself rides the replication flight window:
-//! `Lock → ReplicateBackups (acquiring the write timestamp in-flight) → ...`.
-//!
-//! Phase order (baseline): no timestamps; every read is validated:
-//! `Lock → Validate → ReplicateBackups → InstallPrimary → Truncate → Done`.
+//! `Lock → ReplicateBackups` (acquiring the write timestamp in flight).
 //!
 //! Every phase that talks to other machines sends **one metered message per
 //! destination** (see [`super::plan::CommitPlan`]), and all of a phase's
 //! messages are issued before any completion is awaited: the phase costs
 //! the *maximum* destination latency, not the sum, and the destination-side
-//! work (lock acquisition, old-version copies, installs) runs inside the
-//! verbs' work closures. Any failure routes through the single `unwind`
+//! work (lock acquisition, old-version copies, validation reads) runs inside
+//! the verbs' work closures. Any failure routes through the single `unwind`
 //! step — the completion set always drains every in-flight sibling first,
 //! so unwind sees the locks of *every* destination,
 //! releases them in descending global address order, and rolls back
@@ -80,9 +71,9 @@ use farm_memory::{Addr, LockOutcome, OldAddr, OldVersion, SlotRef};
 use farm_net::{Completion, CompletionSet, DispatchMode, NodeId, PhaseLabel, Verb};
 
 use crate::active::ActiveToken;
-use crate::engine::{NodeEngine, OpLogRecord};
+use crate::engine::NodeEngine;
 use crate::error::{AbortReason, TxError};
-use crate::opts::{EngineMode, IsolationLevel, MvPolicy, TxOptions};
+use crate::opts::{IsolationLevel, MvPolicy, TxOptions};
 use crate::stats::EngineStats;
 use crate::tx::CommitInfo;
 
@@ -99,26 +90,16 @@ pub enum CommitPhase {
     Lock,
     /// COMMIT-BACKUP: one RDMA write per backup destination, NIC-acked. The
     /// write-timestamp uncertainty wait (and, for SI, the acquisition
-    /// itself) runs while these writes are in flight. With early-ack the
-    /// commit **completes** at the end of this phase.
+    /// itself) runs while these writes are in flight. The commit
+    /// **completes** at the end of this phase; COMMIT-PRIMARY installs and
+    /// truncation are the backlog's job.
     ReplicateBackups,
-    /// Acquire the write timestamp (serializable FaRMv2): only the upper
-    /// bound is taken here; the uncertainty wait is deferred into
+    /// Acquire the write timestamp (serializable): only the upper bound is
+    /// taken here; the uncertainty wait is deferred into
     /// [`CommitPhase::ReplicateBackups`].
     AcquireWriteTs,
-    /// Read validation (serializable FaRMv2: unwritten reads; baseline:
-    /// every read).
+    /// Read validation of the reads that were not written (serializable).
     Validate,
-    /// COMMIT-PRIMARY: one batched install message per destination primary.
-    /// Skipped (moved to the background backlog) under early-ack.
-    InstallPrimary,
-    /// TRUNCATE: backups apply the new versions. Skipped (replaced by the
-    /// piggybacked watermark) under early-ack.
-    Truncate,
-    /// Optional operation-log append (Section 5.6).
-    OperationLog,
-    /// Terminal state.
-    Done,
 }
 
 fn phase_label(phase: CommitPhase) -> PhaseLabel {
@@ -127,10 +108,6 @@ fn phase_label(phase: CommitPhase) -> PhaseLabel {
         CommitPhase::ReplicateBackups => PhaseLabel::ReplicateBackups,
         CommitPhase::AcquireWriteTs => PhaseLabel::AcquireWriteTs,
         CommitPhase::Validate => PhaseLabel::Validate,
-        CommitPhase::InstallPrimary => PhaseLabel::InstallPrimary,
-        CommitPhase::Truncate => PhaseLabel::Truncate,
-        CommitPhase::OperationLog => PhaseLabel::OperationLog,
-        CommitPhase::Done => unreachable!("Done is not timed"),
     }
 }
 
@@ -163,10 +140,9 @@ struct DestLockOutcome {
 enum Step {
     /// Move to the next phase.
     Next(CommitPhase),
-    /// The commit is complete with this outcome (baseline read-only commits
-    /// finish straight out of validation; early-ack commits finish out of
-    /// replication).
-    Finish(Option<u64>),
+    /// The commit is durable at this write timestamp (every COMMIT-BACKUP
+    /// acked); its installs now belong to the backlog.
+    Finish(u64),
 }
 
 /// The stashed results of an issued-but-not-finished phase.
@@ -175,9 +151,6 @@ enum Pending {
     AcquireWriteTs,
     Validate(Vec<Completion<Option<Addr>>>),
     Replicate,
-    Install(Vec<Completion<u64>>),
-    Truncate,
-    OperationLog,
 }
 
 /// What [`CommitDriver::advance`] hands back to its scheduler.
@@ -203,14 +176,9 @@ pub struct CommitDriver {
     phase: CommitPhase,
     locked: Vec<HeldLock>,
     write_ts: u64,
-    baseline: bool,
-    /// FaRMv2 snapshot isolation: no VALIDATE, and the write timestamp is
-    /// acquired inside the ReplicateBackups flight window.
+    /// Snapshot isolation: no VALIDATE, and the write timestamp is acquired
+    /// inside the ReplicateBackups flight window.
     si: bool,
-    /// Whether this commit completes at the end of ReplicateBackups, leaving
-    /// installs and truncation to the backlog (stages 2 and 3): every FaRMv2
-    /// commit outside operation-logging mode.
-    early_ack: bool,
     /// Registration of this transaction in the engine's active table,
     /// withdrawn exactly once when the driver seals.
     active: ActiveToken,
@@ -219,8 +187,7 @@ pub struct CommitDriver {
     /// flight.
     deferred_wait_target: Option<u64>,
     /// Whether `write_ts` is reserved in the coordinator's truncation
-    /// in-flight set (early-ack only; withdrawn on install completion or
-    /// abort).
+    /// in-flight set (withdrawn on install completion or abort).
     trunc_registered: bool,
     /// Results of the phase currently in flight.
     pending: Option<Pending>,
@@ -256,10 +223,7 @@ impl CommitDriver {
         plan: CommitPlan,
         active: ActiveToken,
     ) -> CommitDriver {
-        let config = engine.config();
-        let baseline = config.mode.is_baseline();
-        let si = !baseline && opts.isolation == IsolationLevel::SnapshotIsolation;
-        let early_ack = !baseline && !config.operation_logging;
+        let si = opts.isolation == IsolationLevel::SnapshotIsolation;
         CommitDriver {
             engine,
             opts,
@@ -270,9 +234,7 @@ impl CommitDriver {
             phase: CommitPhase::Lock,
             locked: Vec::new(),
             write_ts: 0,
-            baseline,
             si,
-            early_ack,
             active,
             deferred_wait_target: None,
             trunc_registered: false,
@@ -324,25 +286,14 @@ impl CommitDriver {
                     Err(e) => return DriverStep::Finished(self.seal(Err(e))),
                 }
             }
-            if self.phase == CommitPhase::Done {
-                let write_ts = self.write_ts;
-                return DriverStep::Finished(self.seal(Ok(Some(write_ts))));
-            }
             // Coordinator died before this transaction reached durability
             // (the last COMMIT-BACKUP ack): survivors cannot learn its
             // outcome, so it unwinds — locks release, allocations roll back.
-            // This models the survivor-side unwind of an *undecided* orphan;
-            // post-durability phases (InstallPrimary onward) keep running,
-            // because from the ack on the transaction is decided and must
-            // roll forward.
-            if matches!(
-                self.phase,
-                CommitPhase::Lock
-                    | CommitPhase::AcquireWriteTs
-                    | CommitPhase::Validate
-                    | CommitPhase::ReplicateBackups
-            ) && !self.engine.is_alive()
-            {
+            // This models the survivor-side unwind of an *undecided* orphan.
+            // Every phase the driver can be in precedes durability; from the
+            // ack on, the transaction is decided and its installs roll
+            // forward in the backlog.
+            if !self.engine.is_alive() {
                 EngineStats::bump(&self.engine.stats.orphans_rolled_back);
                 let err = self.abort(AbortReason::CoordinatorDead);
                 return DriverStep::Finished(self.seal(Err(err)));
@@ -367,27 +318,15 @@ impl CommitDriver {
 
     /// Terminal bookkeeping, run exactly once: withdraw the active-table
     /// registration, tally the commit, and shape the caller-facing result.
-    fn seal(&mut self, outcome: Result<Option<u64>, TxError>) -> Result<CommitInfo, TxError> {
+    fn seal(&mut self, outcome: Result<u64, TxError>) -> Result<CommitInfo, TxError> {
         self.completed = true;
         self.engine.unregister_active(self.active);
-        match outcome {
-            Ok(Some(write_ts)) => {
-                EngineStats::bump(&self.engine.stats.commits_rw);
-                Ok(CommitInfo {
-                    read_ts: if self.baseline { 0 } else { self.read_ts },
-                    write_ts: Some(write_ts),
-                })
-            }
-            Ok(None) => {
-                // Baseline read-only commit: validated, nothing installed.
-                EngineStats::bump(&self.engine.stats.commits_ro);
-                Ok(CommitInfo {
-                    read_ts: 0,
-                    write_ts: None,
-                })
-            }
-            Err(e) => Err(e),
-        }
+        let write_ts = outcome?;
+        EngineStats::bump(&self.engine.stats.commits_rw);
+        Ok(CommitInfo {
+            read_ts: self.read_ts,
+            write_ts: Some(write_ts),
+        })
     }
 
     /// Issues one phase: meters its messages, runs the destination-side work
@@ -399,10 +338,6 @@ impl CommitDriver {
             CommitPhase::AcquireWriteTs => self.issue_acquire_write_ts(),
             CommitPhase::Validate => self.issue_validate()?,
             CommitPhase::ReplicateBackups => self.issue_replicate_backups(),
-            CommitPhase::InstallPrimary => self.issue_install_primary(),
-            CommitPhase::Truncate => self.issue_truncate(),
-            CommitPhase::OperationLog => self.issue_operation_log(),
-            CommitPhase::Done => unreachable!("advance() returns before issuing Done"),
         })
     }
 
@@ -411,9 +346,7 @@ impl CommitDriver {
         Ok(match pending {
             Pending::Lock(outcomes) => {
                 self.finish_lock(outcomes)?;
-                Step::Next(if self.baseline {
-                    CommitPhase::Validate
-                } else if self.si {
+                Step::Next(if self.si {
                     CommitPhase::ReplicateBackups
                 } else {
                     CommitPhase::AcquireWriteTs
@@ -425,11 +358,6 @@ impl CommitDriver {
                 if let Some(addr) = failure {
                     return Err(self.abort(AbortReason::ValidationFailed(addr)));
                 }
-                if self.baseline && self.plan.is_empty() && self.plan.cancelled_allocs.is_empty() {
-                    // Baseline read-only transactions stop after validating
-                    // every read (FaRMv1 has no snapshots).
-                    return Ok(Step::Finish(None));
-                }
                 Step::Next(CommitPhase::ReplicateBackups)
             }
             Pending::Replicate => {
@@ -437,40 +365,18 @@ impl CommitDriver {
                     // Residual deferred uncertainty wait — normally zero,
                     // the phase deadline already covered it (issue folded
                     // the estimate in). Completing it here, before the
-                    // install (or install enqueue) below, is what keeps
-                    // writes unexposed until the timestamp is in the past:
-                    // strictness is preserved.
+                    // install enqueue below, is what keeps writes unexposed
+                    // until the timestamp is in the past: strictness is
+                    // preserved.
                     let clock = Arc::clone(self.engine.handle().clock());
                     let waited = clock.complete_deferred_wait(target);
                     self.record_write_wait(waited, true);
                 }
-                if self.early_ack {
-                    // The transaction is durable: every COMMIT-BACKUP is
-                    // acked. Post COMMIT-PRIMARY, hand the installs to the
-                    // backlog, and report success — stages 2 and 3 run in
-                    // the background.
-                    self.early_ack_finish()
-                } else {
-                    Step::Next(CommitPhase::InstallPrimary)
-                }
+                // The transaction is durable: every COMMIT-BACKUP is acked.
+                // Post COMMIT-PRIMARY, hand the installs to the backlog, and
+                // report success — stages 2 and 3 run in the background.
+                self.early_ack_finish()
             }
-            Pending::Install(completions) => {
-                if self.baseline {
-                    // Baseline "timestamps" are per-object version counters;
-                    // the commit reports the largest one it installed.
-                    self.write_ts = completions.iter().map(|c| c.value).max().unwrap_or(0);
-                }
-                self.locked.clear();
-                Step::Next(CommitPhase::Truncate)
-            }
-            Pending::Truncate => Step::Next(
-                if !self.baseline && self.engine.config().operation_logging {
-                    CommitPhase::OperationLog
-                } else {
-                    CommitPhase::Done
-                },
-            ),
-            Pending::OperationLog => Step::Next(CommitPhase::Done),
         })
     }
 
@@ -501,7 +407,7 @@ impl CommitDriver {
             EngineStats::bump(&stats.lock_batches);
             EngineStats::add(&stats.lock_batch_objects, dest.lock_ops);
         }
-        let mode = engine.config().mode;
+        let mv_policy = engine.config().mv_policy;
         let plan = &self.plan;
         let engine_ref: &NodeEngine = &engine;
         let mut set: CompletionSet<'_, DestLockOutcome> =
@@ -515,7 +421,7 @@ impl CommitDriver {
                 continue; // Alloc-only destination: no LOCK message.
             }
             self.piggyback(primary);
-            let work = move || lock_at_destination(engine_ref, plan, &lockable, mode);
+            let work = move || lock_at_destination(engine_ref, plan, &lockable, mv_policy);
             if primary == engine.id() {
                 // The LOCK message is still metered above (it is a protocol
                 // message either way), but a co-located primary processes it
@@ -594,17 +500,14 @@ impl CommitDriver {
     }
 
     /// Reserves the freshly acquired write timestamp in the coordinator's
-    /// truncation in-flight set (early-ack only). Doing it at acquisition —
-    /// before any backup record can exist — guarantees the `truncate_below`
-    /// watermark never overtakes a transaction whose record is still being
-    /// deposited.
+    /// truncation in-flight set. Doing it at acquisition — before any backup
+    /// record can exist — guarantees the `truncate_below` watermark never
+    /// overtakes a transaction whose record is still being deposited.
     fn register_trunc(&mut self) {
-        if self.early_ack && !self.trunc_registered {
-            self.trunc_registered = true;
-            self.engine
-                .backlog()
-                .trunc_begin(self.engine.id(), self.write_ts);
-        }
+        self.trunc_registered = true;
+        self.engine
+            .backlog()
+            .trunc_begin(self.engine.id(), self.write_ts);
     }
 
     fn record_write_wait(&self, waited: u64, overlapped: bool) {
@@ -617,7 +520,7 @@ impl CommitDriver {
         }
     }
 
-    /// Local-only phase (serializable FaRMv2): take the write timestamp's
+    /// Local-only phase (serializable): take the write timestamp's
     /// upper bound now; the uncertainty is waited out while COMMIT-BACKUP
     /// flies. Completes immediately.
     fn issue_acquire_write_ts(&mut self) -> Option<Instant> {
@@ -632,11 +535,9 @@ impl CommitDriver {
 
     /// Read validation with one-sided header reads, batched **per destination
     /// primary** exactly like the LOCK path — and fanned out to all
-    /// destinations at once. FaRMv2 (serializable) validates reads that were
-    /// not written; the baseline validates every read — including those of
-    /// read-only transactions — against the exact version observed. The
-    /// failure reported is the smallest failing address, whatever order the
-    /// destinations completed in.
+    /// destinations at once. Only reads that were not written need
+    /// validating. The failure reported is the smallest failing address,
+    /// whatever order the destinations completed in.
     fn issue_validate(&mut self) -> Result<Option<Instant>, TxError> {
         // Written reads need no validation. Small plans (the common
         // OLTP case) probe the plan directly instead of materializing a
@@ -662,27 +563,23 @@ impl CommitDriver {
         // address within each group (deterministic first-failure reporting),
         // carrying each address's resolved region so the validation closure
         // does not re-resolve it.
-        type Unvalidated = (Addr, u64, Arc<farm_memory::Region>);
+        type Unvalidated = (Addr, Arc<farm_memory::Region>);
         let mut by_primary: std::collections::BTreeMap<NodeId, Vec<Unvalidated>> =
             std::collections::BTreeMap::new();
-        for (&addr, &observed) in &self.read_set {
+        for &addr in self.read_set.keys() {
             if is_written(addr) {
                 continue;
             }
             let Ok((primary, region)) = self.engine.primary_region_of(addr) else {
                 return Err(self.abort(AbortReason::ValidationFailed(addr)));
             };
-            by_primary
-                .entry(primary)
-                .or_default()
-                .push((addr, observed, region));
+            by_primary.entry(primary).or_default().push((addr, region));
         }
         for entries in by_primary.values_mut() {
-            entries.sort_by_key(|&(addr, ..)| addr);
+            entries.sort_by_key(|&(addr, _)| addr);
         }
         let engine = Arc::clone(&self.engine);
         let stats = &engine.stats;
-        let baseline = self.baseline;
         let read_ts = self.read_ts;
         let engine_ref: &NodeEngine = &engine;
         let mut set: CompletionSet<'_, Option<Addr>> =
@@ -694,7 +591,7 @@ impl CommitDriver {
             EngineStats::bump(&stats.validate_batches);
             EngineStats::add(&stats.validate_batch_objects, entries.len() as u64);
             self.piggyback(primary);
-            let work = move || validate_at_destination(engine_ref, entries, baseline, read_ts);
+            let work = move || validate_at_destination(engine_ref, entries, read_ts);
             if primary == engine.id() {
                 EngineStats::add(&stats.read_local_bypass, entries.len() as u64);
                 set.issue_local(primary, work);
@@ -716,9 +613,9 @@ impl CommitDriver {
     // ------------------------------------------------------------------
 
     /// One RDMA write per **backup destination** carrying the transaction's
-    /// entire payload for that machine, acknowledged by the NIC only. For
-    /// FaRMv2 this phase also performs the pending write-timestamp work
-    /// *while the writes are in flight*: the deferred serializable
+    /// entire payload for that machine, acknowledged by the NIC only. This
+    /// phase also performs the pending write-timestamp work *while the
+    /// writes are in flight*: the deferred serializable
     /// uncertainty wait, or the whole SI acquisition — the Figure 4 overlap.
     /// The phase then costs `max(replication, uncertainty)` instead of their
     /// sum.
@@ -737,31 +634,27 @@ impl CommitDriver {
             }
         }
         let mut wait_deadline: Option<Instant> = None;
-        if !self.baseline {
-            let overlapped = !set.is_empty();
-            if self.si {
-                // SI: the acquisition (and its wait, for strict SI) rides
-                // the replication flight window.
-                self.acquire_write_ts(overlapped);
-            } else if let Some(&target) = self.deferred_wait_target.as_ref() {
-                // Serializable: the deferred uncertainty wait is **folded
-                // into the phase deadline** rather than spun out
-                // inline — a pipeline thread stays free to advance its
-                // other flights, and the phase still costs
-                // `max(replication, uncertainty)`. The residual (normally
-                // zero: the deadline covers it) is completed in
-                // `finish_replicate` before any install can expose the
-                // write, so strictness is preserved.
-                let clock = engine.handle().clock();
-                let remaining = clock
-                    .time_unchecked()
-                    .map(|i| target.saturating_sub(i.lower))
-                    .unwrap_or(0);
-                if remaining > 0 {
-                    wait_deadline =
-                        Some(Instant::now() + std::time::Duration::from_nanos(remaining));
-                    self.record_write_wait(remaining, overlapped);
-                }
+        let overlapped = !set.is_empty();
+        if self.si {
+            // SI: the acquisition (and its wait, for strict SI) rides the
+            // replication flight window.
+            self.acquire_write_ts(overlapped);
+        } else if let Some(&target) = self.deferred_wait_target.as_ref() {
+            // Serializable: the deferred uncertainty wait is **folded into
+            // the phase deadline** rather than spun out inline — a pipeline
+            // thread stays free to advance its other flights, and the phase
+            // still costs `max(replication, uncertainty)`. The residual
+            // (normally zero: the deadline covers it) is completed when the
+            // phase finishes, before any install can expose the write, so
+            // strictness is preserved.
+            let clock = engine.handle().clock();
+            let remaining = clock
+                .time_unchecked()
+                .map(|i| target.saturating_sub(i.lower))
+                .unwrap_or(0);
+            if remaining > 0 {
+                wait_deadline = Some(Instant::now() + std::time::Duration::from_nanos(remaining));
+                self.record_write_wait(remaining, overlapped);
             }
         }
         let (_, flight_deadline) =
@@ -782,7 +675,7 @@ impl CommitDriver {
     fn early_ack_finish(&mut self) -> Step {
         let engine = Arc::clone(&self.engine);
         let write_ts = self.write_ts;
-        let multi_version = engine.config().mode.is_multi_version();
+        let multi_version = engine.config().mv_policy.is_some();
         // Backup redo-log records: one entry per backup destination holding
         // that destination's intents, with the primary's slab size classes
         // resolved so the backup can mirror the layout.
@@ -861,7 +754,6 @@ impl CommitDriver {
         );
         let locked = std::mem::take(&mut self.locked);
         self.trunc_registered = false;
-        EngineStats::bump(&engine.stats.early_ack_commits);
         engine.enqueue_install(PendingInstall::new(
             engine.id(),
             write_ts,
@@ -869,197 +761,7 @@ impl CommitDriver {
             plan,
             locked,
         ));
-        Step::Finish(Some(write_ts))
-    }
-
-    // ------------------------------------------------------------------
-    // COMMIT-PRIMARY (synchronous path only)
-    // ------------------------------------------------------------------
-
-    /// One batched install message per destination primary, all destinations
-    /// in flight together: updates install and unlock, frees tombstone
-    /// (multi-version) or clear (single-version), allocs initialize. Within
-    /// each destination the held locks apply in ascending address order (the
-    /// acquisition order).
-    fn issue_install_primary(&mut self) -> Option<Instant> {
-        let engine = Arc::clone(&self.engine);
-        // Message accounting: one RDMA write per destination primary.
-        for (_node, ops, bytes) in self.plan.primary_destinations() {
-            engine.meter.write_batch_deferred(ops, bytes);
-            EngineStats::bump(&engine.stats.primary_batches);
-        }
-
-        let multi_version = engine.config().mode.is_multi_version();
-        let baseline = self.baseline;
-        let write_ts = self.write_ts;
-        let plan = &self.plan;
-        let locked = &self.locked;
-        let engine_ref: &NodeEngine = &engine;
-
-        // Group the work per destination primary: held-lock indices, groups
-        // holding alloc intents, and cancelled allocations.
-        let mut lock_idxs: HashMap<NodeId, Vec<usize>> = HashMap::new();
-        for (li, held) in locked.iter().enumerate() {
-            lock_idxs
-                .entry(plan.groups[held.group].primary)
-                .or_default()
-                .push(li);
-        }
-        let mut cancelled: HashMap<NodeId, Vec<Addr>> = HashMap::new();
-        for &addr in &plan.cancelled_allocs {
-            if let Ok((primary, _region)) = engine.primary_region_of(addr) {
-                cancelled.entry(primary).or_default().push(addr);
-            }
-        }
-        let mut set: CompletionSet<'_, u64> = CompletionSet::new(engine.meter.latency_model());
-        for (primary, group_idxs) in plan.groups_by_primary() {
-            let idxs = lock_idxs.remove(&primary).unwrap_or_default();
-            let cancels = cancelled.remove(&primary).unwrap_or_default();
-            let work = move || {
-                install_at_destination(
-                    engine_ref,
-                    plan,
-                    locked,
-                    &idxs,
-                    &group_idxs,
-                    &cancels,
-                    write_ts,
-                    baseline,
-                    multi_version,
-                )
-            };
-            if primary == engine.id() {
-                set.issue_local(primary, work);
-            } else {
-                set.issue(primary, Verb::RdmaWrite, work);
-            }
-        }
-        let (completions, deadline) =
-            set.complete_deferred(DispatchMode::Concurrent, Some(engine.meter.stats()));
-        // A transaction that only alloc+freed objects in some region has
-        // cancelled allocations at a primary with *no* plan group (cancelled
-        // intents carry no message): return those slots here.
-        for addrs in cancelled.into_values() {
-            for addr in addrs {
-                if let Ok((_p, region)) = engine.primary_region_of(addr) {
-                    let _ = region.free(addr);
-                }
-            }
-        }
-        self.pending = Some(Pending::Install(completions));
-        deadline
-    }
-
-    // ------------------------------------------------------------------
-    // TRUNCATE (synchronous path only)
-    // ------------------------------------------------------------------
-
-    /// Backups apply the new versions to their replicas — one truncation
-    /// message per backup destination, all in flight together. (In
-    /// operation-logging mode data is not replicated, so this is a no-op;
-    /// under early-ack this phase never runs — truncation piggybacks as a
-    /// watermark instead.)
-    fn issue_truncate(&mut self) -> Option<Instant> {
-        self.pending = Some(Pending::Truncate);
-        if self.engine.config().operation_logging {
-            return None;
-        }
-        let engine = Arc::clone(&self.engine);
-        let plan = &self.plan;
-        let write_ts = self.write_ts;
-        // Slab size classes per group, resolved at the coordinator (which
-        // mirrors the primary's layout when creating backup slabs).
-        let slab_sizes: Vec<Option<Vec<usize>>> = plan
-            .groups
-            .iter()
-            .map(|g| slab_sizes_of(&engine, g))
-            .collect();
-        let mut destinations: Vec<NodeId> = Vec::new();
-        for (group, sizes) in plan.groups.iter().zip(&slab_sizes) {
-            if sizes.is_none() {
-                // The primary's region is gone (e.g. dropped after a kill):
-                // nothing to mirror, no message to meter.
-                continue;
-            }
-            for &backup in &group.backups {
-                if !destinations.contains(&backup) {
-                    destinations.push(backup);
-                }
-            }
-        }
-        let engine_ref: &NodeEngine = &engine;
-        let slab_sizes_ref = &slab_sizes;
-        let mut set: CompletionSet<'_, ()> = CompletionSet::new(engine.meter.latency_model());
-        for backup in destinations {
-            // Synchronous truncations are standalone two-sided messages, one
-            // per destination.
-            engine.meter.rpc_batch_deferred(1, 16);
-            EngineStats::bump(&engine.stats.truncate_batches);
-            let work =
-                move || truncate_at_backup(engine_ref, plan, slab_sizes_ref, backup, write_ts);
-            if backup == engine.id() {
-                set.issue_local(backup, work);
-            } else {
-                set.issue(backup, Verb::Rpc, work);
-            }
-        }
-        let (_, deadline) =
-            set.complete_deferred(DispatchMode::Concurrent, Some(engine.meter.stats()));
-        deadline
-    }
-
-    // ------------------------------------------------------------------
-    // Operation log
-    // ------------------------------------------------------------------
-
-    /// Operation-logging mode: append the transaction description to
-    /// `replication` in-memory logs spread over the cluster (Section 5.6),
-    /// all replicas in flight together.
-    fn issue_operation_log(&mut self) -> Option<Instant> {
-        let engine = Arc::clone(&self.engine);
-        let writes: Vec<Addr> = self
-            .plan
-            .groups
-            .iter()
-            .flat_map(|g| {
-                g.intents
-                    .iter()
-                    .filter(|i| i.kind != IntentKind::Free)
-                    .map(|i| i.addr)
-            })
-            .collect();
-        let record = OpLogRecord {
-            coordinator: engine.id(),
-            write_ts: self.write_ts,
-            writes,
-        };
-        let members = engine.cluster().current_config().members;
-        let replication = engine.cluster().config().replication.min(members.len());
-        // Load-balance the log replicas by coordinator id + write ts.
-        let start = (engine.id().index() + self.write_ts as usize) % members.len();
-        let engine_ref: &NodeEngine = &engine;
-        let record_ref = &record;
-        let mut set: CompletionSet<'_, ()> = CompletionSet::new(engine.meter.latency_model());
-        for k in 0..replication {
-            let target = members[(start + k) % members.len()];
-            engine
-                .meter
-                .write_batch_deferred(1, 64 + record.writes.len() * 8);
-            engine.meter.ack();
-            if target == engine.id() {
-                // Store the record at this node's engine; remote replicas
-                // are metered only — going through the cluster keeps the
-                // accounting symmetric even though only the local engine
-                // handle is reachable from here.
-                set.issue_local(target, || engine_ref.append_op_log(record_ref.clone()));
-            } else {
-                set.issue(target, Verb::RdmaWrite, || ());
-            }
-        }
-        let (_, deadline) =
-            set.complete_deferred(DispatchMode::Concurrent, Some(engine.meter.stats()));
-        self.pending = Some(Pending::OperationLog);
-        deadline
+        Step::Finish(write_ts)
     }
 
     // ------------------------------------------------------------------
@@ -1097,37 +799,20 @@ impl Drop for CommitDriver {
         }
         self.completed = true;
         // Abandoned mid-flight (e.g. a panic unwinding through a pipeline's
-        // pump): the stashed phase results decide what is safe to undo.
-        match self.pending.take() {
-            Some(Pending::Lock(outcomes)) => {
-                // The destination-side lock closures already ran at issue
-                // time; their locks live in the completions, not in
-                // `self.locked` yet — merge them so the unwind releases
-                // every one.
-                for completion in outcomes {
-                    self.locked.extend(completion.value.locks);
-                }
-                self.locked.sort_by_key(|h| (h.group, h.intent));
+        // pump). Every phase a driver can be parked in precedes durability,
+        // so undoing is always safe. A LOCK's destination-side closures
+        // already ran at issue time; their locks live in the stashed
+        // completions, not in `self.locked` yet — merge them so the unwind
+        // releases every one.
+        if let Some(Pending::Lock(outcomes)) = self.pending.take() {
+            for completion in outcomes {
+                self.locked.extend(completion.value.locks);
             }
-            Some(Pending::Install(_)) | Some(Pending::Truncate) | Some(Pending::OperationLog) => {
-                // The writes are already installed and unlocked (install
-                // work runs at issue time): unwinding now would free
-                // allocations that are durable committed state. Withdraw
-                // the registrations and stop.
-                if self.trunc_registered {
-                    self.trunc_registered = false;
-                    self.engine
-                        .backlog()
-                        .trunc_complete(self.engine.id(), self.write_ts);
-                }
-                self.engine.unregister_active(self.active);
-                return;
-            }
-            _ => {}
+            self.locked.sort_by_key(|h| (h.group, h.intent));
         }
-        // Pre-install states: release the locks, roll the allocations back,
-        // withdraw every registration. `abort` handles the truncation
-        // reservation and `unwind` clears `locked`.
+        // Release the locks, roll the allocations back, withdraw every
+        // registration. `abort` handles the truncation reservation and
+        // `unwind` clears `locked`.
         let _ = self.abort(AbortReason::UserRequested);
         self.engine.unregister_active(self.active);
     }
@@ -1153,7 +838,7 @@ fn lock_at_destination(
     engine: &NodeEngine,
     plan: &CommitPlan,
     group_idxs: &[usize],
-    mode: EngineMode,
+    mv_policy: Option<MvPolicy>,
 ) -> DestLockOutcome {
     let mut out = DestLockOutcome {
         locks: Vec::new(),
@@ -1212,11 +897,7 @@ fn lock_at_destination(
         // current version of every locked object (updates and frees alike —
         // a free preserves history identically) into old-version memory
         // while holding the lock.
-        if let EngineMode::FarmV2 {
-            multi_version: true,
-            mv_policy,
-        } = mode
-        {
+        if let Some(mv_policy) = mv_policy {
             let start = out.locks.len() - lockable;
             for li in start..out.locks.len() {
                 let snapshot = out.locks[li].slot.header_snapshot();
@@ -1307,25 +988,20 @@ fn allocate_old_version(
 /// decides honestly (a newer installed version still fails validation).
 fn validate_at_destination(
     engine: &NodeEngine,
-    entries: &[(Addr, u64, Arc<farm_memory::Region>)],
-    baseline: bool,
+    entries: &[(Addr, Arc<farm_memory::Region>)],
     read_ts: u64,
 ) -> Option<Addr> {
-    for (addr, observed, region) in entries {
+    for (addr, region) in entries {
         let ok = match region.slot(*addr) {
             Ok(slot) => {
                 let mut h = slot.header_snapshot();
                 if h.locked && engine.help_install(*addr) {
                     h = slot.header_snapshot();
                 }
-                if baseline {
-                    !h.locked && !h.tombstone && h.ts == *observed
-                } else {
-                    // The snapshot is still current iff no version (or
-                    // tombstone) newer than the read timestamp was
-                    // installed (Algorithm 2, line 19).
-                    !h.locked && !h.tombstone && h.ts <= read_ts
-                }
+                // The snapshot is still current iff no version (or
+                // tombstone) newer than the read timestamp was installed
+                // (Algorithm 2, line 19).
+                !h.locked && !h.tombstone && h.ts <= read_ts
             }
             Err(_) => false,
         };
@@ -1338,8 +1014,8 @@ fn validate_at_destination(
 
 /// Applies one held lock at its primary: install-and-unlock for updates,
 /// tombstone (multi-version) or clear (single-version) for frees, linking
-/// the old-version chain and arming its GC time. Shared by the synchronous
-/// install phase and the background [`PendingInstall`] drain/help paths.
+/// the old-version chain and arming its GC time. Run by the backlog's
+/// [`PendingInstall`] drain and help paths.
 pub(crate) fn install_held_lock(
     engine: &NodeEngine,
     plan: &CommitPlan,
@@ -1386,88 +1062,6 @@ pub(crate) fn install_held_lock(
     }
 }
 
-/// COMMIT-PRIMARY processing for one destination: apply the held locks in
-/// ascending address order, initialize this destination's allocs, and return
-/// the slots of cancelled allocations. Returns the largest baseline version
-/// installed (0 in timestamp modes).
-#[allow(clippy::too_many_arguments)]
-fn install_at_destination(
-    engine: &NodeEngine,
-    plan: &CommitPlan,
-    locked: &[HeldLock],
-    lock_idxs: &[usize],
-    group_idxs: &[usize],
-    cancelled: &[Addr],
-    write_ts: u64,
-    baseline: bool,
-    multi_version: bool,
-) -> u64 {
-    let mut max_version = 0u64;
-    for &li in lock_idxs {
-        let held = &locked[li];
-        let group = &plan.groups[held.group];
-        let intent = &group.intents[held.intent];
-        let new_ts = if baseline {
-            // Baseline "timestamps" are per-object version counters.
-            let v = intent.expected_ts + 1;
-            max_version = max_version.max(v);
-            v
-        } else {
-            write_ts
-        };
-        install_held_lock(engine, plan, held, new_ts, multi_version);
-    }
-    // Initialize objects newly allocated at this destination.
-    for &gi in group_idxs {
-        let group = &plan.groups[gi];
-        for intent in group.intents.iter().filter(|i| i.kind == IntentKind::Alloc) {
-            if let Ok(slot) = group.region_handle.slot(intent.addr) {
-                let ts = if baseline { 1 } else { write_ts };
-                slot.initialize(ts, intent.data.clone());
-            }
-        }
-    }
-    // Return slots of objects allocated and freed by the same transaction
-    // (they were never visible).
-    for &addr in cancelled {
-        if let Ok((_p, region)) = engine.primary_region_of(addr) {
-            let _ = region.free(addr);
-        }
-    }
-    max_version
-}
-
-/// TRUNCATE processing for one backup destination: mirror every group's
-/// installed intents into the backup's replica (the synchronous path; the
-/// early-ack path applies backup redo-log entries instead — see
-/// [`super::backlog`]).
-fn truncate_at_backup(
-    engine: &NodeEngine,
-    plan: &CommitPlan,
-    slab_sizes: &[Option<Vec<usize>>],
-    backup: NodeId,
-    write_ts: u64,
-) {
-    for (group, sizes) in plan.groups.iter().zip(slab_sizes) {
-        let Some(sizes) = sizes else {
-            continue;
-        };
-        if !group.backups.contains(&backup) {
-            continue;
-        }
-        let replica = engine.cluster().node(backup).regions().ensure(group.region);
-        for (intent, &slab_size) in group.intents.iter().zip(sizes) {
-            replica.apply_replicated(
-                intent.addr,
-                slab_size,
-                write_ts,
-                &intent.data,
-                intent.kind == IntentKind::Free,
-            );
-        }
-    }
-}
-
 /// Object sizes (slab size classes) of a group's intents at the primary,
 /// used to mirror the slab layout at backups. 0 marks unresolvable slots.
 fn slab_sizes_of(engine: &NodeEngine, group: &super::plan::RegionGroup) -> Option<Vec<usize>> {
@@ -1488,4 +1082,106 @@ fn slab_sizes_of(engine: &NodeEngine, group: &super::plan::RegionGroup) -> Optio
             })
             .collect(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use farm_kernel::ClusterConfig;
+    use farm_net::LatencyModel;
+
+    use super::*;
+    use crate::engine::Engine;
+    use crate::opts::EngineConfig;
+    use crate::tx::{PreparedCommit, Transaction};
+
+    /// Hands back the driver `tx`'s commit runs on.
+    fn driver_of(tx: Transaction) -> Box<CommitDriver> {
+        match tx.prepare_commit() {
+            PreparedCommit::InFlight(driver) => driver,
+            PreparedCommit::Done(result) => panic!("commit decided without a driver: {result:?}"),
+        }
+    }
+
+    /// The hand-stepping harness: calls `advance`, waiting out each
+    /// deadline, until the driver parks with an in-flight phase that `at`
+    /// accepts. Between this and the next `advance` the caller owns the
+    /// cluster and may act on it.
+    fn park(driver: &mut CommitDriver, at: fn(&Pending) -> bool) {
+        let model = driver.engine.meter.latency_model();
+        loop {
+            match driver.advance() {
+                DriverStep::Wait(_) if driver.pending.as_ref().is_some_and(at) => return,
+                DriverStep::Wait(deadline) => model.wait_until(deadline),
+                DriverStep::Finished(result) => panic!("finished before parking: {result:?}"),
+            }
+        }
+    }
+
+    /// Abandons a commit (write + alloc, remote primary, datacenter
+    /// latency) parked at `at` and checks that dropping the driver leaves
+    /// nothing behind. `reserved` says whether the parked driver already
+    /// holds a truncation reservation.
+    fn abandoned_driver_leaves_nothing_behind(at: fn(&Pending) -> bool, reserved: bool) {
+        let config = EngineConfig {
+            latency: LatencyModel::datacenter(),
+            gc_interval: Duration::from_secs(3600),
+            ..EngineConfig::default()
+        };
+        let engine = Engine::start_cluster(ClusterConfig::test(3), config);
+        let coordinator = engine.node(NodeId(0));
+        let cluster = engine.cluster();
+        let (region, primary) = cluster
+            .regions()
+            .into_iter()
+            .filter_map(|r| Some((r, cluster.primary_of(r)?)))
+            .find(|&(_, p)| p != coordinator.id())
+            .expect("a region with a remote primary");
+        let replica = cluster.node(primary).regions().ensure(region);
+
+        let mut setup = coordinator.begin();
+        let addr = setup.alloc_in(region, vec![0u8; 16]).unwrap();
+        setup.commit().unwrap();
+        engine.quiesce();
+        let free_slots = replica.occupancy().1;
+
+        let mut tx = coordinator.begin();
+        tx.write(addr, vec![1u8; 16]).unwrap();
+        tx.alloc_in(region, vec![2u8; 16]).unwrap();
+        let mut driver = driver_of(tx);
+        park(&mut driver, at);
+        let slot = replica.slot(addr).unwrap();
+        assert!(slot.header_snapshot().locked, "LOCK already ran");
+        assert_eq!(replica.occupancy().1, free_slots - 1);
+        assert_eq!(coordinator.active_transactions(), 1);
+        assert_eq!(driver.trunc_registered, reserved);
+        let write_ts = driver.write_ts;
+        drop(driver);
+
+        assert!(!slot.header_snapshot().locked, "written slot unlocked");
+        assert_eq!(replica.occupancy().1, free_slots, "allocation returned");
+        assert_eq!(coordinator.active_transactions(), 0, "registration held");
+        assert!(
+            coordinator.truncation_watermark() >= write_ts,
+            "truncation reservation not withdrawn"
+        );
+        // Nothing holds a later commit back either.
+        let mut next = coordinator.begin();
+        next.overwrite(addr, vec![3u8; 16]).unwrap();
+        let next_ts = next.commit().unwrap().write_ts.unwrap();
+        engine.quiesce();
+        assert!(coordinator.truncation_watermark() >= next_ts);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_driver_abandoned_during_lock_leaves_nothing_behind() {
+        abandoned_driver_leaves_nothing_behind(|p| matches!(p, Pending::Lock(_)), false);
+    }
+
+    #[test]
+    fn a_driver_abandoned_during_replication_leaves_nothing_behind() {
+        abandoned_driver_leaves_nothing_behind(|p| matches!(p, Pending::Replicate), true);
+    }
 }

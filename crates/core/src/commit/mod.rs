@@ -11,10 +11,11 @@
 //!   backup ([`CommitPlan`]), fixing the deterministic global
 //!   address order in which locks are acquired.
 //! * [`driver`] — the [`CommitDriver`] state machine with explicit phases
-//!   (`Lock → [SI: Replicate] → WriteTs → [Ser: Validate → Replicate] →
-//!   InstallPrimary → Truncate → OpLog`), one batched metered message per
-//!   destination per phase. Each phase is split into an *issue* and a
-//!   *finish* half so the driver can be stepped without blocking.
+//!   (`Lock → [AcquireWriteTs → Validate] → ReplicateBackups`, the bracketed
+//!   pair serializable only), one batched metered message per destination
+//!   per phase. The commit completes at the last COMMIT-BACKUP ack. Each
+//!   phase is split into an *issue* and a *finish* half so the driver can
+//!   be stepped without blocking.
 //! * `backlog` — the three-stage commit-completion state: pending
 //!   COMMIT-PRIMARY installs (claimable by helpers), backup redo logs, and
 //!   per-coordinator `truncate_below` watermarks piggybacked on outgoing

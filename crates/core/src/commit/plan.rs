@@ -213,11 +213,6 @@ impl CommitPlan {
         })
     }
 
-    /// Whether the plan carries no intents at all.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
     /// Total number of object intents across all groups.
     pub fn total_intents(&self) -> usize {
         self.groups.iter().map(|g| g.intents.len()).sum()
@@ -420,7 +415,7 @@ mod tests {
         let addr = replica.allocate(8).unwrap();
         write_set.insert(addr, Bytes::from_static(b"tmp"));
         let plan = CommitPlan::build(&node, &write_set, &[addr], &[addr], &read_set).unwrap();
-        assert!(plan.is_empty());
+        assert!(plan.groups.is_empty());
         assert_eq!(plan.cancelled_allocs, vec![addr]);
         engine.shutdown();
     }

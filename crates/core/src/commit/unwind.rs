@@ -1,11 +1,9 @@
 //! The single abort/unwind step of the commit driver.
 //!
-//! The unbatched protocol had four near-identical copies of the abort path
-//! (write-set lock loop, free-set lock loop, validation, and the baseline's
-//! versions of each). The driver routes **every** phase failure through this
-//! one function: release every lock acquired so far — across all destination
-//! primaries, in descending global address order — roll the transaction's
-//! allocations back, and tally the abort against the phase that failed.
+//! The driver routes **every** phase failure through this one function:
+//! release every lock acquired so far — across all destination primaries,
+//! in descending global address order — roll the transaction's allocations
+//! back, and tally the abort against the phase that failed.
 //!
 //! # Fan-out invariant
 //!
@@ -60,9 +58,12 @@ pub(crate) fn unwind(
     match phase {
         CommitPhase::Lock => EngineStats::bump(&engine.stats.aborts_lock),
         CommitPhase::Validate => EngineStats::bump(&engine.stats.aborts_validation),
-        // Later phases cannot fail in this reproduction (installs are local
-        // stores), but the tally stays total if that ever changes.
-        _ => EngineStats::bump(&engine.stats.aborts_lock),
+        // AcquireWriteTs and ReplicateBackups never fail by themselves; a
+        // dead coordinator or an abandoned driver unwinding there is
+        // tallied with the lock aborts, so the tally stays total.
+        CommitPhase::AcquireWriteTs | CommitPhase::ReplicateBackups => {
+            EngineStats::bump(&engine.stats.aborts_lock)
+        }
     }
     TxError::Aborted(reason)
 }

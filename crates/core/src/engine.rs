@@ -19,18 +19,6 @@ use crate::opts::{EngineConfig, TxOptions};
 use crate::stats::{EngineStats, EngineStatsSnapshot};
 use crate::tx::{CommitInfo, Transaction};
 
-/// A record appended to replicated in-memory operation logs when the engine
-/// runs in operation-logging mode (Section 5.6).
-#[derive(Debug, Clone)]
-pub struct OpLogRecord {
-    /// Coordinator node.
-    pub coordinator: NodeId,
-    /// Write timestamp of the committed transaction.
-    pub write_ts: u64,
-    /// Addresses written (the "transaction description and inputs").
-    pub writes: Vec<Addr>,
-}
-
 /// Bounded exponential backoff for [`NodeEngine::run_transaction`]: how many
 /// commit attempts to make and how long to sleep between them. The defaults
 /// (64 attempts, 50 µs doubling to a 5 ms cap) ride out both ordinary
@@ -71,15 +59,6 @@ pub struct NodeEngine {
     pub(crate) active: Arc<ActiveTxTable>,
     next_serial: AtomicU64,
     pub(crate) stats: EngineStats,
-    /// Operation log kept at this node when operation logging is enabled
-    /// (this node acting as a log replica): a bounded ring of the most
-    /// recent [`EngineConfig::op_log_capacity`] records.
-    op_log: Mutex<VecDeque<OpLogRecord>>,
-    /// Records currently held in `op_log`, maintained alongside it so
-    /// [`NodeEngine::op_log_len`] is an O(1) atomic load.
-    op_log_len: AtomicUsize,
-    /// Records ever appended to `op_log` (monotone; not capped by the ring).
-    op_log_appended: AtomicU64,
     /// Cluster-shared commit-completion backlog (pending installs, backup
     /// redo logs, truncation watermarks). See [`crate::commit::backlog`].
     backlog: Arc<Backlog>,
@@ -117,9 +96,6 @@ impl NodeEngine {
             active,
             next_serial: AtomicU64::new(1),
             stats: EngineStats::default(),
-            op_log: Mutex::new(VecDeque::new()),
-            op_log_len: AtomicUsize::new(0),
-            op_log_appended: AtomicU64::new(0),
             backlog,
             installs: Mutex::new(VecDeque::new()),
             installs_len: AtomicUsize::new(0),
@@ -150,31 +126,6 @@ impl NodeEngine {
     /// Per-node statistics snapshot.
     pub fn stats(&self) -> EngineStatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// Number of operation-log records currently stored at this node
-    /// (operation-logging mode only). O(1): an atomic load, no lock.
-    pub fn op_log_len(&self) -> usize {
-        self.op_log_len.load(Ordering::Acquire)
-    }
-
-    /// Total operation-log records ever appended at this node, including
-    /// those the bounded ring has since evicted.
-    pub fn op_log_appended(&self) -> u64 {
-        self.op_log_appended.load(Ordering::Acquire)
-    }
-
-    /// Appends one record to this node's operation log, evicting the oldest
-    /// record once the configured ring capacity is reached (so long
-    /// operation-logging runs do not grow memory unboundedly).
-    pub(crate) fn append_op_log(&self, record: OpLogRecord) {
-        let mut log = self.op_log.lock();
-        log.push_back(record);
-        if log.len() > self.config.op_log_capacity.max(1) {
-            log.pop_front();
-        }
-        self.op_log_len.store(log.len(), Ordering::Release);
-        self.op_log_appended.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Whether this node is still alive (not killed by fault injection).
@@ -735,7 +686,7 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("nodes", &self.nodes.len())
-            .field("mode", &self.config.mode)
+            .field("mv_policy", &self.config.mv_policy)
             .finish()
     }
 }
@@ -786,36 +737,6 @@ mod tests {
             cluster.upgrade().is_none(),
             "cluster and its regions leaked"
         );
-    }
-
-    #[test]
-    fn op_log_is_a_bounded_ring_with_o1_len() {
-        let config = EngineConfig {
-            operation_logging: true,
-            op_log_capacity: 4,
-            ..EngineConfig::multi_version()
-        };
-        let engine = Engine::start_cluster(ClusterConfig::test(3), config);
-        let node = engine.node(NodeId(0));
-        let region = node.home_region().unwrap();
-        let mut tx = node.begin();
-        let addr = tx.alloc_in(region, vec![0u8; 8]).unwrap();
-        tx.commit().unwrap();
-        // Commit more read-write transactions than the ring holds.
-        for i in 0..32u8 {
-            let mut tx = node.begin();
-            tx.write(addr, vec![i; 8]).unwrap();
-            tx.commit().unwrap();
-        }
-        let stored: usize = engine.nodes().iter().map(|n| n.op_log_len()).sum();
-        let appended: u64 = engine.nodes().iter().map(|n| n.op_log_appended()).sum();
-        assert!(appended >= 33, "replicated op-log appends happened");
-        assert!(
-            stored <= 3 * 4,
-            "ring capacity 4 per node exceeded: {stored} records stored"
-        );
-        assert!(stored > 0);
-        engine.shutdown();
     }
 
     #[test]

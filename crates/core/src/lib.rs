@@ -17,21 +17,15 @@
 //!   too new), allocation and freeing of objects.
 //! * The **commit protocol**: LOCK at the primaries (allocating old versions
 //!   in multi-version mode), write-timestamp acquisition with an uncertainty
-//!   wait *while holding locks*, read validation with one-sided reads,
-//!   COMMIT-BACKUP (awaiting only "hardware acks"), COMMIT-PRIMARY
-//!   (install + unlock) and TRUNCATE (applying backup logs).
+//!   wait *while holding locks*, read validation with one-sided reads and
+//!   COMMIT-BACKUP (awaiting only "hardware acks"), after which the commit
+//!   is acknowledged; COMMIT-PRIMARY (install + unlock) and TRUNCATE
+//!   (applying backup logs) complete in the background.
 //! * **Isolation/strictness knobs** per transaction ([`TxOptions`]):
 //!   serializable vs snapshot isolation, strict vs non-strict, read-only
 //!   fast path (no validation at all in FaRMv2), eager validation
 //!   ("early aborts", Section 4.7) and stale snapshot reads for parallel
 //!   distributed read-only transactions (Section 4.6).
-//! * The **BASELINE engine** (an optimized FaRMv1): no read snapshots, no
-//!   timestamps, per-object version OCC with validation of every read —
-//!   including for read-only transactions. This is the comparison system in
-//!   every figure of the evaluation.
-//! * An **operation-logging mode** (Section 5.6) where committed read-write
-//!   transactions append their description to replicated in-memory logs
-//!   instead of replicating data.
 //!
 //! ## Correctness corner
 //!
@@ -59,7 +53,7 @@ pub use active::{ActiveToken, ActiveTxTable};
 pub use commit::{CommitDriver, CommitPhase, CommitPipeline, PipelineTimings};
 pub use engine::{Engine, NodeEngine, RetryPolicy};
 pub use error::{AbortReason, TxError};
-pub use opts::{EngineConfig, EngineMode, IsolationLevel, MvPolicy, TxOptions};
+pub use opts::{EngineConfig, IsolationLevel, MvPolicy, TxOptions};
 pub use readonly::ParallelQuery;
 pub use stats::{EngineStats, EngineStatsSnapshot};
 pub use tx::{CommitInfo, Transaction};

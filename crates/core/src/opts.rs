@@ -27,71 +27,17 @@ pub enum MvPolicy {
     Truncate,
 }
 
-/// Which engine variant executes transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// FaRMv2: opacity via global-time read/write timestamps.
-    FarmV2 {
-        /// Whether old versions are maintained (multi-version mode) or not
-        /// (single-version mode, the default for TPC-C in the paper).
-        multi_version: bool,
-        /// Policy when old-version memory runs out (only relevant with
-        /// `multi_version`).
-        mv_policy: MvPolicy,
-    },
-    /// BASELINE: an optimized FaRMv1 — per-object version OCC without read
-    /// snapshots, timestamps or uncertainty waits; every read (including by
-    /// read-only transactions) is validated at commit.
-    Baseline,
-}
-
-impl EngineMode {
-    /// FaRMv2 in single-version mode (the paper's default for TPC-C).
-    pub fn farmv2_single_version() -> Self {
-        EngineMode::FarmV2 {
-            multi_version: false,
-            mv_policy: MvPolicy::Truncate,
-        }
-    }
-
-    /// FaRMv2 in multi-version mode with the given out-of-memory policy.
-    pub fn farmv2_multi_version(policy: MvPolicy) -> Self {
-        EngineMode::FarmV2 {
-            multi_version: true,
-            mv_policy: policy,
-        }
-    }
-
-    /// Whether this mode maintains old versions.
-    pub fn is_multi_version(&self) -> bool {
-        matches!(
-            self,
-            EngineMode::FarmV2 {
-                multi_version: true,
-                ..
-            }
-        )
-    }
-
-    /// Whether this is the FaRMv1-style baseline.
-    pub fn is_baseline(&self) -> bool {
-        matches!(self, EngineMode::Baseline)
-    }
-}
-
 /// Cluster-wide engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Engine variant.
-    pub mode: EngineMode,
+    /// Multi-version mode and its policy when old-version memory runs out;
+    /// `None` is single-version mode (the paper's default for TPC-C), where
+    /// no old versions are kept.
+    pub mv_policy: Option<MvPolicy>,
     /// Injected wire latency for one-sided verbs and RPCs. Zero (the
     /// default) for raw-throughput runs; [`farm_net::LatencyModel::datacenter`]
     /// for latency-composition experiments like Figure 13.
     pub latency: farm_net::LatencyModel,
-    /// Whether committed read-write transactions additionally append an
-    /// operation-log record to `replication` in-memory logs (Section 5.6's
-    /// NAM-DB-style configuration). Data replication is skipped in that mode.
-    pub operation_logging: bool,
     /// How many times a read retries when it observes a locked head version
     /// before aborting.
     pub read_lock_retries: u32,
@@ -101,10 +47,6 @@ pub struct EngineConfig {
     /// before this expires, so standalone TRUNCATE messages only appear on
     /// idle connections.
     pub truncate_idle_flush: std::time::Duration,
-    /// Maximum operation-log records retained per node in operation-logging
-    /// mode; the log is a ring that evicts its oldest record beyond this, so
-    /// long runs do not grow memory unboundedly.
-    pub op_log_capacity: usize,
     /// Interval of the background old-version garbage collector.
     pub gc_interval: std::time::Duration,
     /// DELIBERATELY INCORRECT (Section 7.3): skip the uncertainty wait when
@@ -116,12 +58,10 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            mode: EngineMode::farmv2_single_version(),
+            mv_policy: None,
             latency: farm_net::LatencyModel::zero(),
-            operation_logging: false,
             read_lock_retries: 100,
             truncate_idle_flush: std::time::Duration::from_millis(1),
-            op_log_capacity: 65_536,
             gc_interval: std::time::Duration::from_millis(2),
             unsafe_skip_write_wait: false,
         }
@@ -129,19 +69,10 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// FaRMv2 with multi-versioning enabled (MV-TRUNCATE by default, as in
-    /// production).
+    /// Multi-versioning enabled, with MV-TRUNCATE (as in production).
     pub fn multi_version() -> Self {
         EngineConfig {
-            mode: EngineMode::farmv2_multi_version(MvPolicy::Truncate),
-            ..Default::default()
-        }
-    }
-
-    /// The FaRMv1-style baseline.
-    pub fn baseline() -> Self {
-        EngineConfig {
-            mode: EngineMode::Baseline,
+            mv_policy: Some(MvPolicy::Truncate),
             ..Default::default()
         }
     }
@@ -210,14 +141,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_constructors() {
-        assert!(!EngineMode::farmv2_single_version().is_multi_version());
-        assert!(EngineMode::farmv2_multi_version(MvPolicy::Block).is_multi_version());
-        assert!(EngineMode::Baseline.is_baseline());
-        assert!(!EngineMode::farmv2_single_version().is_baseline());
-    }
-
-    #[test]
     fn option_presets() {
         let s = TxOptions::serializable();
         assert!(s.strict);
@@ -232,10 +155,19 @@ mod tests {
     }
 
     #[test]
+    fn mode_constructors() {
+        // Single-version is the default; `multi_version()` is MV-TRUNCATE.
+        assert_eq!(EngineConfig::default().mv_policy, None);
+        assert_eq!(
+            EngineConfig::multi_version().mv_policy,
+            Some(MvPolicy::Truncate)
+        );
+    }
+
+    #[test]
     fn engine_config_presets() {
-        assert!(EngineConfig::default().mode == EngineMode::farmv2_single_version());
-        assert!(EngineConfig::multi_version().mode.is_multi_version());
-        assert!(EngineConfig::baseline().mode.is_baseline());
-        assert!(!EngineConfig::default().unsafe_skip_write_wait);
+        let config = EngineConfig::default();
+        assert!(!config.unsafe_skip_write_wait);
+        assert_eq!(config.latency, farm_net::LatencyModel::zero());
     }
 }

@@ -63,17 +63,10 @@ pub struct EngineStats {
     pub backup_batches: AtomicU64,
     /// COMMIT-PRIMARY batches sent (one per destination primary).
     pub primary_batches: AtomicU64,
-    /// TRUNCATE batches sent (one per backup destination). With early-ack
-    /// commits this counts only **standalone idle flushes**; piggybacked
-    /// watermark deliveries count under `truncations_piggybacked`.
-    pub truncate_batches: AtomicU64,
     /// Abort unwinds executed by the commit driver (locks released across
     /// every destination, allocations rolled back).
     pub unwinds: AtomicU64,
-    // ---- Early-ack commit lifecycle counters ----------------------------
-    /// Commits acknowledged at the end of the critical path (all
-    /// COMMIT-BACKUP acks drained), before COMMIT-PRIMARY installs landed.
-    pub early_ack_commits: AtomicU64,
+    // ---- Commit-completion backlog counters ------------------------------
     /// Per-destination COMMIT-PRIMARY installs completed in the background
     /// (by the committing engine's opportunistic drain or by helpers).
     pub installs_background: AtomicU64,
@@ -152,12 +145,8 @@ pub struct EngineStatsSnapshot {
     pub backup_batches: u64,
     /// COMMIT-PRIMARY batches sent.
     pub primary_batches: u64,
-    /// TRUNCATE batches sent (standalone flushes only under early-ack).
-    pub truncate_batches: u64,
     /// Commit-driver abort unwinds.
     pub unwinds: u64,
-    /// Commits acknowledged at the end of the critical path.
-    pub early_ack_commits: u64,
     /// Background per-destination COMMIT-PRIMARY installs completed.
     pub installs_background: u64,
     /// Installs completed by helping readers/lockers/validators.
@@ -203,9 +192,7 @@ impl EngineStats {
             validate_batch_objects: self.validate_batch_objects.load(Ordering::Relaxed),
             backup_batches: self.backup_batches.load(Ordering::Relaxed),
             primary_batches: self.primary_batches.load(Ordering::Relaxed),
-            truncate_batches: self.truncate_batches.load(Ordering::Relaxed),
             unwinds: self.unwinds.load(Ordering::Relaxed),
-            early_ack_commits: self.early_ack_commits.load(Ordering::Relaxed),
             installs_background: self.installs_background.load(Ordering::Relaxed),
             install_helps: self.install_helps.load(Ordering::Relaxed),
             truncations_piggybacked: self.truncations_piggybacked.load(Ordering::Relaxed),
@@ -318,9 +305,7 @@ impl EngineStatsSnapshot {
             validate_batch_objects: self.validate_batch_objects - earlier.validate_batch_objects,
             backup_batches: self.backup_batches - earlier.backup_batches,
             primary_batches: self.primary_batches - earlier.primary_batches,
-            truncate_batches: self.truncate_batches - earlier.truncate_batches,
             unwinds: self.unwinds - earlier.unwinds,
-            early_ack_commits: self.early_ack_commits - earlier.early_ack_commits,
             installs_background: self.installs_background - earlier.installs_background,
             install_helps: self.install_helps - earlier.install_helps,
             truncations_piggybacked: self.truncations_piggybacked - earlier.truncations_piggybacked,
@@ -360,9 +345,7 @@ impl EngineStatsSnapshot {
             validate_batch_objects: self.validate_batch_objects + other.validate_batch_objects,
             backup_batches: self.backup_batches + other.backup_batches,
             primary_batches: self.primary_batches + other.primary_batches,
-            truncate_batches: self.truncate_batches + other.truncate_batches,
             unwinds: self.unwinds + other.unwinds,
-            early_ack_commits: self.early_ack_commits + other.early_ack_commits,
             installs_background: self.installs_background + other.installs_background,
             install_helps: self.install_helps + other.install_helps,
             truncations_piggybacked: self.truncations_piggybacked + other.truncations_piggybacked,

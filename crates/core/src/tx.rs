@@ -79,7 +79,7 @@ pub struct CommitInfo {
     pub write_ts: Option<u64>,
 }
 
-/// A FaRMv2 (or baseline) transaction. Created by
+/// A FaRMv2 transaction. Created by
 /// [`NodeEngine::begin`](crate::NodeEngine::begin); the creating thread acts
 /// as the distributed-commit coordinator when [`Transaction::commit`] is
 /// called.
@@ -90,8 +90,7 @@ pub struct Transaction {
     /// (one atomic store) exactly once, in `finish`.
     active: crate::active::ActiveToken,
     opts: TxOptions,
-    /// The snapshot this transaction reads at (FaRMv2 modes). Irrelevant in
-    /// baseline mode, which has no read snapshots.
+    /// The snapshot this transaction reads at.
     read_ts: u64,
     /// Stale snapshot reads (slave side of parallel distributed queries) are
     /// read-only by construction.
@@ -109,11 +108,10 @@ pub struct Transaction {
 
 impl Transaction {
     pub(crate) fn start(engine: Arc<NodeEngine>, opts: TxOptions) -> Transaction {
-        let baseline = engine.config().mode.is_baseline();
         let serial = engine.next_serial();
         // Acquire the read timestamp. Strict transactions use GET_TS (upper
         // bound + uncertainty wait); non-strict ones take the lower bound
-        // with no wait. The baseline has no read timestamps at all.
+        // with no wait.
         //
         // Registration happens in two wait-free steps: publish a
         // conservative placeholder (the clock's current lower bound, which
@@ -122,26 +120,21 @@ impl Transaction {
         // OAT scan interleaving with `begin` therefore sees at worst a
         // too-small timestamp — it can never advance the GC watermarks past
         // a snapshot that is about to become live.
-        let (read_ts, active) = if baseline {
-            (0, engine.register_active(serial, u64::MAX))
+        let placeholder = engine
+            .handle()
+            .clock()
+            .time_unchecked()
+            .map(|i| i.lower)
+            .unwrap_or(0);
+        let active = engine.register_active(serial, placeholder);
+        let mode = if opts.strict {
+            TsMode::StrictWait
         } else {
-            let placeholder = engine
-                .handle()
-                .clock()
-                .time_unchecked()
-                .map(|i| i.lower)
-                .unwrap_or(0);
-            let active = engine.register_active(serial, placeholder);
-            let mode = if opts.strict {
-                TsMode::StrictWait
-            } else {
-                TsMode::NonStrictRead
-            };
-            let (ts, _waited) = engine.handle().clock().get_ts(mode);
-            let read_ts = ts.as_nanos();
-            engine.update_active(active, read_ts);
-            (read_ts, active)
+            TsMode::NonStrictRead
         };
+        let (ts, _waited) = engine.handle().clock().get_ts(mode);
+        let read_ts = ts.as_nanos();
+        engine.update_active(active, read_ts);
         Transaction {
             engine,
             serial,
@@ -398,14 +391,13 @@ impl Transaction {
         addr: Addr,
         result: ConsistentRead,
     ) -> Result<Bytes, TxError> {
-        let baseline = self.engine.config().mode.is_baseline();
         match result {
             ConsistentRead::Locked => unreachable!("caller handles Locked"),
             ConsistentRead::NotAllocated => {
                 Err(self.execution_abort(AbortReason::BadAddress(addr)))
             }
             ConsistentRead::Tombstone { ts, ovp } => {
-                if baseline || ts <= self.read_ts {
+                if ts <= self.read_ts {
                     // The object was already freed at our snapshot.
                     return Err(self.execution_abort(AbortReason::BadAddress(addr)));
                 }
@@ -414,13 +406,6 @@ impl Transaction {
                 self.read_old_chain(primary, addr, ovp)
             }
             ConsistentRead::Value { ts, ovp, data } => {
-                if baseline {
-                    // FaRMv1: no snapshot — the latest committed version is
-                    // returned whatever its timestamp, and consistency is
-                    // only checked at commit time (no opacity).
-                    self.read_set.insert(addr, ts);
-                    return Ok(data);
-                }
                 if ts <= self.read_ts {
                     self.read_set.insert(addr, ts);
                     return Ok(data);
@@ -450,7 +435,7 @@ impl Transaction {
         addr: Addr,
         ovp: Option<OldAddr>,
     ) -> Result<Bytes, TxError> {
-        if !self.engine.config().mode.is_multi_version() {
+        if self.engine.config().mv_policy.is_none() {
             return Err(self.execution_abort(AbortReason::OldVersionUnavailable(addr)));
         }
         // Eager validation (Section 4.7): a serializable transaction that has
@@ -512,17 +497,12 @@ impl Transaction {
     /// point is still its write timestamp, ordered by the object lock.
     ///
     /// This is the natural shape of a KV `put`, and it keeps the execution
-    /// phase off the network entirely for update-only transactions. In
-    /// baseline mode (whose per-object version counters derive from the
-    /// version read) this falls back to read-then-write.
+    /// phase off the network entirely for update-only transactions.
     pub fn overwrite(&mut self, addr: Addr, data: impl Into<Bytes>) -> Result<(), TxError> {
         if self.stale_readonly {
             return Err(TxError::InvalidOperation(
                 "stale snapshot transactions are read-only",
             ));
-        }
-        if self.engine.config().mode.is_baseline() {
-            return self.write(addr, data);
         }
         self.write_set.insert(addr, data.into());
         Ok(())
@@ -589,14 +569,13 @@ impl Transaction {
     // ------------------------------------------------------------------
 
     /// Commits the transaction by handing its sets to the batched
-    /// [`CommitDriver`] (Figure 3; or the baseline protocol when the engine
-    /// is in baseline mode). Consumes the transaction either way; on error
-    /// the transaction has aborted and all its locks have been released.
+    /// [`CommitDriver`] (Figure 3). Consumes the transaction either way; on
+    /// error the transaction has aborted and all its locks have been
+    /// released.
     ///
-    /// A FaRMv2 commit (outside operation-logging mode) returns as soon as
-    /// every COMMIT-BACKUP is acked — the durability point — leaving the
-    /// COMMIT-PRIMARY installs and the truncation watermark to the
-    /// background backlog.
+    /// A commit returns as soon as every COMMIT-BACKUP is acked — the
+    /// durability point — leaving the COMMIT-PRIMARY installs and the
+    /// truncation watermark to the background backlog.
     pub fn commit(self) -> Result<CommitInfo, TxError> {
         match self.prepare_commit() {
             PreparedCommit::Done(result) => result,
@@ -611,9 +590,8 @@ impl Transaction {
     /// [`Transaction::commit`] and
     /// [`CommitPipeline::submit`](crate::CommitPipeline::submit).
     pub(crate) fn prepare_commit(mut self) -> PreparedCommit {
-        let baseline = self.engine.config().mode.is_baseline();
-        if !baseline && self.is_read_only() {
-            // FaRMv2 read-only transactions skip validation entirely:
+        if self.is_read_only() {
+            // Read-only transactions skip validation entirely:
             // committing is a no-op (Section 4.2).
             self.finish();
             EngineStats::bump(&self.engine.stats.commits_ro);

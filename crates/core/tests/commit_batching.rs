@@ -63,12 +63,12 @@ fn k_writes_to_one_primary_issue_one_lock_message() {
     );
     assert_eq!(
         delta.count(Verb::Rpc),
-        1 + stats.truncate_batches,
+        1 + stats.truncate_flushes,
         "LOCK + truncations"
     );
     assert_eq!(
         delta.ops(Verb::Rpc),
-        8 + stats.truncate_batches,
+        8 + stats.truncate_flushes,
         "8 lock ops in 1 message"
     );
     // COMMIT-BACKUP and COMMIT-PRIMARY are one RDMA write per destination.

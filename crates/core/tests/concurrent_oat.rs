@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use farm_core::{Engine, EngineConfig, EngineMode, MvPolicy, NodeId, TxOptions};
+use farm_core::{Engine, EngineConfig, MvPolicy, NodeId, TxOptions};
 use farm_kernel::ClusterConfig;
 
 /// Four worker threads churn transactions (read-only commits, read-write
@@ -113,7 +113,7 @@ fn gc_never_reclaims_a_version_a_pinned_snapshot_can_read() {
     // under memory pressure, which is not the invariant under test — GC must
     // never reclaim below a live pin, however fast the writers churn).
     let config = EngineConfig {
-        mode: EngineMode::farmv2_multi_version(MvPolicy::Block),
+        mv_policy: Some(MvPolicy::Block),
         ..EngineConfig::multi_version()
     };
     let engine = Engine::start_cluster(ClusterConfig::test(3), config);

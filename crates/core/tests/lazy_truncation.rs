@@ -73,8 +73,7 @@ fn steady_traffic_piggybacks_every_truncation() {
     let stats = node.stats().delta(&stats_before);
     let net = node.handle().stats().snapshot().delta(&net_before);
 
-    assert_eq!(stats.truncate_batches, 0, "no standalone TRUNCATE messages");
-    assert_eq!(stats.truncate_flushes, 0, "no idle flushes under traffic");
+    assert_eq!(stats.truncate_flushes, 0, "no standalone TRUNCATE messages");
     assert!(
         stats.truncations_piggybacked >= 9,
         "watermarks ride the LOCK verbs: {}",

@@ -1,11 +1,9 @@
 //! Behavioural tests of the FaRMv2 transaction engine: snapshot reads,
-//! opacity, conflicts, multi-versioning and the baseline comparison engine.
+//! opacity, conflicts and multi-versioning.
 
 use std::sync::Arc;
 
-use farm_core::{
-    AbortReason, Engine, EngineConfig, EngineMode, MvPolicy, NodeId, TxError, TxOptions,
-};
+use farm_core::{AbortReason, Engine, EngineConfig, MvPolicy, NodeId, TxError, TxOptions};
 use farm_kernel::ClusterConfig;
 
 fn engine(config: EngineConfig) -> Arc<Engine> {
@@ -305,76 +303,6 @@ fn explicit_abort_discards_writes_and_allocations() {
 }
 
 #[test]
-fn baseline_engine_commits_and_validates_reads() {
-    let engine = engine(EngineConfig::baseline());
-    let node = engine.node(NodeId(0));
-    let mut setup = node.begin();
-    let a = setup.alloc(vec![0u8]).unwrap();
-    setup.commit().unwrap();
-
-    // Plain read-modify-write works.
-    let mut tx = node.begin();
-    let v = tx.read(a).unwrap()[0];
-    tx.write(a, vec![v + 1]).unwrap();
-    tx.commit().unwrap();
-
-    // A read-only transaction whose read set changed underneath it aborts
-    // (FaRMv1 must validate read-only transactions; FaRMv2 does not).
-    let mut ro = node.begin();
-    let _ = ro.read(a).unwrap();
-    let mut w = node.begin();
-    let v = w.read(a).unwrap()[0];
-    w.write(a, vec![v + 1]).unwrap();
-    w.commit().unwrap();
-    let err = ro.commit().unwrap_err();
-    assert!(
-        matches!(err, TxError::Aborted(AbortReason::ValidationFailed(_))),
-        "{err:?}"
-    );
-    engine.shutdown();
-}
-
-#[test]
-fn baseline_does_not_provide_opacity() {
-    // The same x + y == 100 scenario as the opacity test: the baseline reader
-    // can observe an inconsistent pair (which is exactly the anomaly FaRMv2
-    // removes). We only assert that the baseline *commits or aborts without
-    // crashing* and that at least one inconsistent snapshot is observable
-    // across many attempts (demonstrating the lack of read snapshots).
-    let engine = engine(EngineConfig::baseline());
-    let node = engine.node(NodeId(0));
-    let mut setup = node.begin();
-    let x = setup.alloc(vec![100u8]).unwrap();
-    let y = setup.alloc(vec![0u8]).unwrap();
-    setup.commit().unwrap();
-
-    let mut saw_inconsistent = false;
-    for _ in 0..200 {
-        let mut reader = engine.node(NodeId(1)).begin();
-        let vx = reader.read(x).unwrap()[0];
-        let mut writer = node.begin();
-        let cur_x = writer.read(x).unwrap()[0];
-        let cur_y = writer.read(y).unwrap()[0];
-        if cur_x == 0 {
-            break;
-        }
-        writer.write(x, vec![cur_x - 1]).unwrap();
-        writer.write(y, vec![cur_y + 1]).unwrap();
-        writer.commit().unwrap();
-        let vy = reader.read(y).unwrap()[0];
-        if vx as u32 + vy as u32 != 100 {
-            saw_inconsistent = true;
-        }
-        let _ = reader.commit(); // validation will (correctly) abort it
-    }
-    assert!(
-        saw_inconsistent,
-        "baseline reads both objects after the concurrent commit, so an inconsistent pair must appear"
-    );
-    engine.shutdown();
-}
-
-#[test]
 fn mv_abort_policy_aborts_writers_when_old_version_memory_is_full() {
     let mut cluster_cfg = ClusterConfig::test(3);
     // Tiny old-version budget: a handful of versions exhaust it.
@@ -383,7 +311,7 @@ fn mv_abort_policy_aborts_writers_when_old_version_memory_is_full() {
     let engine = Engine::start_cluster(
         cluster_cfg,
         EngineConfig {
-            mode: EngineMode::farmv2_multi_version(MvPolicy::Abort),
+            mv_policy: Some(MvPolicy::Abort),
             ..EngineConfig::default()
         },
     );
@@ -421,7 +349,7 @@ fn mv_truncate_policy_keeps_writers_running_and_aborts_readers_instead() {
     let engine = Engine::start_cluster(
         cluster_cfg,
         EngineConfig {
-            mode: EngineMode::farmv2_multi_version(MvPolicy::Truncate),
+            mv_policy: Some(MvPolicy::Truncate),
             ..EngineConfig::default()
         },
     );

@@ -45,9 +45,10 @@ fn verb_index(v: Verb) -> usize {
 }
 
 /// Protocol phases whose wall-clock cost the engine reports per message
-/// burst. The first seven mirror the commit driver's state machine; the last
-/// covers the batched execution-phase read path. Keeping the label set here
-/// (next to [`Verb`]) lets the fan-out vs serial cost of each phase be
+/// burst. The first four mirror the commit driver's state machine,
+/// `InstallPrimary` times one destination's background install, and the
+/// last covers the batched execution-phase read path. Keeping the label set
+/// here (next to [`Verb`]) lets the fan-out vs serial cost of each phase be
 /// observed from network statistics alone, without a profiler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseLabel {
@@ -58,32 +59,25 @@ pub enum PhaseLabel {
     AcquireWriteTs,
     /// Batched read validation.
     Validate,
-    /// COMMIT-BACKUP replication (absorbs the deferred uncertainty wait in
-    /// the pipelined dispatch modes).
+    /// COMMIT-BACKUP replication (absorbs the deferred uncertainty wait).
     ReplicateBackups,
-    /// COMMIT-PRIMARY installs.
+    /// COMMIT-PRIMARY installs (one destination, drained or helped).
     InstallPrimary,
-    /// TRUNCATE messages to backups.
-    Truncate,
-    /// Operation-log appends.
-    OperationLog,
     /// The execution-phase `read_many` fan-out.
     ReadMany,
 }
 
 /// Every phase label, in recording order.
-pub const PHASE_LABELS: [PhaseLabel; 8] = [
+pub const PHASE_LABELS: [PhaseLabel; 6] = [
     PhaseLabel::Lock,
     PhaseLabel::AcquireWriteTs,
     PhaseLabel::Validate,
     PhaseLabel::ReplicateBackups,
     PhaseLabel::InstallPrimary,
-    PhaseLabel::Truncate,
-    PhaseLabel::OperationLog,
     PhaseLabel::ReadMany,
 ];
 
-const PHASES: usize = 8;
+const PHASES: usize = 6;
 
 fn phase_index(p: PhaseLabel) -> usize {
     match p {
@@ -92,9 +86,7 @@ fn phase_index(p: PhaseLabel) -> usize {
         PhaseLabel::Validate => 2,
         PhaseLabel::ReplicateBackups => 3,
         PhaseLabel::InstallPrimary => 4,
-        PhaseLabel::Truncate => 5,
-        PhaseLabel::OperationLog => 6,
-        PhaseLabel::ReadMany => 7,
+        PhaseLabel::ReadMany => 5,
     }
 }
 
@@ -107,8 +99,6 @@ impl PhaseLabel {
             PhaseLabel::Validate => "validate",
             PhaseLabel::ReplicateBackups => "replicate_backups",
             PhaseLabel::InstallPrimary => "install_primary",
-            PhaseLabel::Truncate => "truncate",
-            PhaseLabel::OperationLog => "operation_log",
             PhaseLabel::ReadMany => "read_many",
         }
     }

@@ -518,8 +518,8 @@ mod tests {
     }
 
     #[test]
-    fn works_under_baseline_engine_too() {
-        let engine = Engine::start_cluster(ClusterConfig::test(3), EngineConfig::baseline());
+    fn works_under_multi_version_engine_too() {
+        let engine = Engine::start_cluster(ClusterConfig::test(3), EngineConfig::multi_version());
         let db = TpccDatabase::load(&engine, tiny()).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let mut committed = 0;

@@ -17,7 +17,6 @@ pub use farm_net as net;
 pub use farm_workloads as workloads;
 
 pub use farm_core::{
-    AbortReason, Engine, EngineConfig, EngineMode, MvPolicy, NodeId, Transaction, TxError,
-    TxOptions,
+    AbortReason, Engine, EngineConfig, MvPolicy, NodeId, Transaction, TxError, TxOptions,
 };
 pub use farm_kernel::ClusterConfig;

@@ -63,11 +63,7 @@ fn serializability_of_concurrent_increments_across_engines() {
     // Run the same concurrent counter workload under FaRMv2 and verify the
     // final value equals the number of successful commits (no lost updates),
     // which is the core serializability guarantee.
-    for cfg in [
-        EngineConfig::default(),
-        EngineConfig::multi_version(),
-        EngineConfig::baseline(),
-    ] {
+    for cfg in [EngineConfig::default(), EngineConfig::multi_version()] {
         let engine = Engine::start_cluster(ClusterConfig::test(3), cfg);
         let node0 = engine.node(NodeId(0));
         let mut setup = node0.begin();
