@@ -5,9 +5,10 @@
 //! as CSV on stdout. Absolute numbers differ from the paper (the substrate
 //! is an in-process simulated cluster, not a 90-machine RDMA testbed); the
 //! *shapes* — which system wins, by roughly what factor, where the
-//! crossovers are — are what the harnesses are meant to reproduce. See
-//! `EXPERIMENTS.md` at the workspace root for the mapping and observed
-//! results.
+//! crossovers are — are what the harnesses are meant to reproduce. Observed
+//! results are recorded in `DESIGN.md` ("What the FaRMv1 baseline and
+//! operation logging measured"); the tracked end-to-end and per-layer
+//! numbers come from the `benchmark/` package (`benchmark/README.md`).
 //!
 //! This library crate holds the shared driver: closed-loop worker threads
 //! executing TPC-C or YCSB against an [`Engine`], with throughput and
@@ -115,7 +116,6 @@ pub fn run_tpcc(
     let latencies: Arc<parking_lot::Mutex<Vec<u64>>> =
         Arc::new(parking_lot::Mutex::new(Vec::new()));
     for t in 0..threads {
-        let engine = Arc::clone(engine);
         let db = Arc::clone(db);
         let stop = Arc::clone(&stop);
         let committed = Arc::clone(&committed);
@@ -146,7 +146,6 @@ pub fn run_tpcc(
                 }
             }
             latencies.lock().extend(local_lat);
-            let _ = &engine;
         }));
     }
     let before = engine.aggregate_stats();
@@ -209,7 +208,6 @@ pub fn run_ycsb(
     let nodes = engine.nodes().len() as u32;
     let mut handles = Vec::new();
     for t in 0..threads {
-        let engine = Arc::clone(engine);
         let db = Arc::clone(db);
         let stop = Arc::clone(&stop);
         let keys_done = Arc::clone(&keys_done);
@@ -230,7 +228,6 @@ pub fn run_ycsb(
                     }
                 }
             }
-            let _ = &engine;
         }));
     }
     let before = engine.aggregate_stats();

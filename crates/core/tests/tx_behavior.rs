@@ -369,6 +369,57 @@ fn mv_truncate_policy_keeps_writers_running_and_aborts_readers_instead() {
 }
 
 #[test]
+fn mv_block_policy_stalls_writers_until_the_pin_is_released() {
+    let mut cluster_cfg = ClusterConfig::test(3);
+    cluster_cfg.old_version_block_bytes = 512;
+    cluster_cfg.old_version_max_bytes = 1024;
+    let engine = Engine::start_cluster(
+        cluster_cfg,
+        EngineConfig {
+            mv_policy: Some(MvPolicy::Block),
+            ..EngineConfig::default()
+        },
+    );
+    let node = engine.node(NodeId(0));
+    let mut setup = node.begin();
+    let addr = setup.alloc(vec![0u8; 64]).unwrap();
+    setup.commit().unwrap();
+    let pin = node.begin();
+    let writer = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || {
+            let node = engine.node(NodeId(0));
+            for i in 0..64u8 {
+                let mut tx = node.begin();
+                tx.write(addr, vec![i; 64]).unwrap();
+                tx.commit()
+                    .expect("MV-BLOCK writers must commit once the pin is released");
+            }
+        })
+    };
+    // The pin holds the GC safe point, so old-version memory fills and the
+    // writer stalls inside its LOCK batch instead of aborting.
+    while engine.aggregate_stats().oldver_blocks == 0 {
+        if writer.is_finished() {
+            writer.join().unwrap();
+            panic!("the writer finished without ever blocking");
+        }
+        std::thread::yield_now();
+    }
+    drop(pin);
+    // Each stalled allocation retries for up to 100 ms; advancing the safe
+    // point lets its reclamation pass free the blocks the pin held.
+    while !writer.is_finished() {
+        engine.cluster().control_round();
+        engine.collect_garbage_now();
+        std::thread::yield_now();
+    }
+    writer.join().unwrap();
+    assert!(engine.aggregate_stats().oldver_blocks > 0);
+    engine.shutdown();
+}
+
+#[test]
 fn non_strict_transactions_still_serialize_writes() {
     let engine = engine(EngineConfig::default());
     let node = engine.node(NodeId(0));

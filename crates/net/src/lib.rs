@@ -32,7 +32,6 @@ pub use fault::FaultPlane;
 pub use latency::LatencyModel;
 pub use stats::{
     NetStats, NetStatsSnapshot, PhaseHistogram, PhaseHistogramSnapshot, PhaseLabel, Verb,
-    PHASE_LABELS,
 };
 
 use std::fmt;

@@ -5,7 +5,9 @@
 //! downstream users can depend on one crate.
 //!
 //! See `README.md` for the quickstart, `DESIGN.md` for the system inventory
-//! and `EXPERIMENTS.md` for the reproduction of every table and figure.
+//! and the recorded figure results ("What the FaRMv1 baseline and operation
+//! logging measured"), and `benchmark/README.md` for the tracked end-to-end
+//! and per-layer benchmark.
 
 pub use farm_clock as clock;
 pub use farm_core as core_engine;
