@@ -51,8 +51,8 @@ pub use clock::{Clock, DriftClock, ManualClock, MonotonicClock, SharedClock};
 pub use drift::{DriftMonitor, DriftReport};
 pub use interval::{TimeInterval, Timestamp};
 pub use master::{MasterError, MasterState};
-pub use node::{ClockConfig, ClockStats, NodeClock, TsMode, WaitObserver};
-pub use sync::{MasterTimeSource, SyncError, SyncSample, Synchronizer};
+pub use node::{ClockConfig, ClockStats, NodeClock, TsMode};
+pub use sync::{SyncSample, Synchronizer};
 
 /// Parts-per-million helper: applies `(1 + ppm/1e6)` to a nanosecond delta.
 #[inline]

@@ -7,7 +7,7 @@ use parking_lot::RwLock;
 
 use crate::clock::SharedClock;
 use crate::master::{MasterError, MasterState};
-use crate::sync::{MasterTimeSource, SyncError, SyncSample, Synchronizer};
+use crate::sync::{SyncSample, Synchronizer};
 use crate::{TimeInterval, Timestamp};
 
 /// Configuration of a node's clock subsystem.
@@ -61,49 +61,6 @@ pub struct ClockStats {
     pub syncs: AtomicU64,
     /// Nanoseconds of time the clock spent disabled (failover windows).
     pub disabled_ns: AtomicU64,
-}
-
-impl ClockStats {
-    /// Mean uncertainty wait in nanoseconds (0 if no waits happened).
-    pub fn mean_wait_ns(&self) -> f64 {
-        let w = self.waits.load(Ordering::Relaxed);
-        if w == 0 {
-            0.0
-        } else {
-            self.wait_ns.load(Ordering::Relaxed) as f64 / w as f64
-        }
-    }
-}
-
-/// Helper that accumulates observed uncertainty waits; handy in benchmarks
-/// that want per-phase rather than per-node numbers.
-#[derive(Debug, Default)]
-pub struct WaitObserver {
-    total_ns: AtomicU64,
-    count: AtomicU64,
-}
-
-impl WaitObserver {
-    /// Records one wait of `ns` nanoseconds.
-    pub fn record(&self, ns: u64) {
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Mean recorded wait in nanoseconds.
-    pub fn mean_ns(&self) -> f64 {
-        let c = self.count.load(Ordering::Relaxed);
-        if c == 0 {
-            0.0
-        } else {
-            self.total_ns.load(Ordering::Relaxed) as f64 / c as f64
-        }
-    }
-
-    /// Number of recorded waits.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
 }
 
 enum Role {
@@ -357,28 +314,9 @@ impl NodeClock {
     // Slave-side operations
     // ------------------------------------------------------------------
 
-    /// Performs one synchronization round against `source` and enables the
-    /// clock on success. No-op (returns `Ok`) on the master itself.
-    pub fn sync_with(
-        &self,
-        source: &dyn MasterTimeSource,
-    ) -> Result<Option<SyncSample>, SyncError> {
-        let mut role = self.role.write();
-        match &mut *role {
-            Role::Master(_) => Ok(None),
-            Role::Slave(sync) => {
-                let clock = &self.clock;
-                let sample = sync.sync_once(source, || clock.now_ns())?;
-                self.stats.syncs.fetch_add(1, Ordering::Relaxed);
-                drop(role);
-                self.mark_enabled();
-                Ok(Some(sample))
-            }
-        }
-    }
-
-    /// Records an externally-performed synchronization sample (used when the
-    /// kernel performs the RPC itself, e.g. piggybacked on lease messages).
+    /// Records one synchronization with the clock master and enables the
+    /// clock. The kernel performs the `MASTERTIME()` exchange itself,
+    /// piggybacked on lease renewals; no-op on the master.
     pub fn record_sync(&self, sample: SyncSample) {
         let mut role = self.role.write();
         if let Role::Slave(sync) = &mut *role {
@@ -386,14 +324,6 @@ impl NodeClock {
             self.stats.syncs.fetch_add(1, Ordering::Relaxed);
             drop(role);
             self.mark_enabled();
-        }
-    }
-
-    /// Number of synchronizations the node has performed (0 for masters).
-    pub fn sync_count(&self) -> u64 {
-        match &*self.role.read() {
-            Role::Master(_) => 0,
-            Role::Slave(s) => s.sync_count(),
         }
     }
 
@@ -680,15 +610,5 @@ mod tests {
         // A second deferred wait on an already-past target is (nearly)
         // free: it costs one interval read, not an uncertainty wait.
         assert!(node.complete_deferred_wait(0) < 100_000);
-    }
-
-    #[test]
-    fn wait_observer_tracks_mean() {
-        let w = WaitObserver::default();
-        assert_eq!(w.mean_ns(), 0.0);
-        w.record(10);
-        w.record(30);
-        assert_eq!(w.count(), 2);
-        assert!((w.mean_ns() - 20.0).abs() < f64::EPSILON);
     }
 }

@@ -13,47 +13,6 @@
 
 use crate::{scale_down, scale_up, TimeInterval};
 
-/// Error produced when a synchronization round cannot complete.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SyncError {
-    /// The clock master is currently disabled (reconfiguration in progress).
-    MasterDisabled,
-    /// The clock master could not be reached.
-    Unreachable(String),
-    /// The response was discarded by the sampling filter (Figure 17
-    /// emulation of larger clusters discards a fraction of responses).
-    Sampled,
-}
-
-impl std::fmt::Display for SyncError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SyncError::MasterDisabled => write!(f, "clock master disabled"),
-            SyncError::Unreachable(m) => write!(f, "clock master unreachable: {m}"),
-            SyncError::Sampled => write!(f, "synchronization response discarded by sampling"),
-        }
-    }
-}
-
-impl std::error::Error for SyncError {}
-
-/// Source of `MASTERTIME()` readings. In the full system this is an RPC over
-/// the simulated RDMA network to the clock master; unit tests implement it
-/// directly over a [`MasterState`](crate::MasterState).
-pub trait MasterTimeSource: Send + Sync {
-    /// Returns the current time at the clock master, in master nanoseconds.
-    fn master_time(&self) -> Result<u64, SyncError>;
-}
-
-impl<F> MasterTimeSource for F
-where
-    F: Fn() -> Result<u64, SyncError> + Send + Sync,
-{
-    fn master_time(&self) -> Result<u64, SyncError> {
-        self()
-    }
-}
-
 /// State from one successful synchronization with the clock master.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncSample {
@@ -102,8 +61,6 @@ pub struct Synchronizer {
     thread_skew_ns: u64,
     s_lower: Option<SyncSample>,
     s_upper: Option<SyncSample>,
-    /// Number of successful synchronizations recorded.
-    syncs: u64,
 }
 
 impl Synchronizer {
@@ -115,7 +72,6 @@ impl Synchronizer {
             thread_skew_ns,
             s_lower: None,
             s_upper: None,
-            syncs: 0,
         }
     }
 
@@ -130,24 +86,10 @@ impl Synchronizer {
         self.s_lower.is_some() && self.s_upper.is_some()
     }
 
-    /// Number of successful synchronizations recorded so far.
-    pub fn sync_count(&self) -> u64 {
-        self.syncs
-    }
-
-    /// Clears all synchronization state. Used by the clock failover protocol:
-    /// after a new clock master is enabled, the first successful
-    /// synchronization replaces all previous state (Section 4.3).
-    pub fn reset(&mut self) {
-        self.s_lower = None;
-        self.s_upper = None;
-    }
-
     /// Records a completed synchronization, keeping it only if it improves
     /// the lower bound and/or the upper bound at `local_now` (the `SYNC`
     /// function of Figure 2).
     pub fn record(&mut self, sample: SyncSample, local_now: u64) {
-        self.syncs += 1;
         match &self.s_lower {
             Some(cur)
                 if cur.lower_bound(local_now, self.drift_ppm)
@@ -178,28 +120,6 @@ impl Synchronizer {
             lower = upper;
         }
         Some(TimeInterval::new(lower, upper))
-    }
-
-    /// Performs one synchronization against `source` using `local_clock_now`
-    /// readings taken by the caller, and records the resulting sample.
-    ///
-    /// The caller supplies the send-side reading so that the measured RTT
-    /// includes any queueing delays it wishes to model.
-    pub fn sync_once<C: Fn() -> u64>(
-        &mut self,
-        source: &dyn MasterTimeSource,
-        local_now: C,
-    ) -> Result<SyncSample, SyncError> {
-        let t_send = local_now();
-        let t_cm = source.master_time()?;
-        let t_recv = local_now();
-        let sample = SyncSample {
-            t_send,
-            t_cm,
-            t_recv,
-        };
-        self.record(sample, t_recv);
-        Ok(sample)
     }
 }
 
@@ -285,23 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_samples() {
-        let mut sync = Synchronizer::new(EPS, 0);
-        sync.record(
-            SyncSample {
-                t_send: 0,
-                t_cm: 5,
-                t_recv: 10,
-            },
-            10,
-        );
-        assert!(sync.is_synchronized());
-        sync.reset();
-        assert!(!sync.is_synchronized());
-        assert!(sync.time(20).is_none());
-    }
-
-    #[test]
     fn thread_skew_widens_interval_symmetrically() {
         let mut a = Synchronizer::new(EPS, 0);
         let mut b = Synchronizer::new(EPS, 400);
@@ -315,30 +218,6 @@ mod tests {
         let ia = a.time(100).unwrap();
         let ib = b.time(100).unwrap();
         assert_eq!(ib.uncertainty(), ia.uncertainty() + 800);
-    }
-
-    #[test]
-    fn sync_once_uses_source_and_records() {
-        let mut sync = Synchronizer::new(EPS, 0);
-        let now = std::sync::atomic::AtomicU64::new(100);
-        let sample = sync
-            .sync_once(&|| Ok(777u64), || {
-                now.fetch_add(10, std::sync::atomic::Ordering::SeqCst)
-            })
-            .unwrap();
-        assert_eq!(sample.t_cm, 777);
-        assert!(sample.t_recv > sample.t_send);
-        assert!(sync.is_synchronized());
-    }
-
-    #[test]
-    fn sync_once_propagates_errors_without_recording() {
-        let mut sync = Synchronizer::new(EPS, 0);
-        let err = sync
-            .sync_once(&|| Err(SyncError::MasterDisabled), || 0u64)
-            .unwrap_err();
-        assert_eq!(err, SyncError::MasterDisabled);
-        assert!(!sync.is_synchronized());
     }
 
     #[test]

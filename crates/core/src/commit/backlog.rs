@@ -52,6 +52,61 @@ use crate::stats::EngineStats;
 use super::driver::{install_held_lock, HeldLock};
 use super::plan::CommitPlan;
 
+/// What [`Backlog::help_install`] found behind a locked slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Help {
+    /// No durable transaction holds the lock: ordinary contention.
+    NotPending,
+    /// This thread applied the install and released the lock: retry at
+    /// once.
+    Applied,
+    /// Another thread has claimed the install and not applied it yet: the
+    /// lock is about to go, but only that thread can release it, so back
+    /// off before retrying.
+    Claimed,
+}
+
+/// Bounded exponential backoff for a thread that observes a lock it cannot
+/// release itself: a read of a locked head version, or a locker waiting on
+/// an install another thread has claimed ([`Help::Claimed`]).
+///
+/// The holder of a commit lock releases it within a few microseconds (install
+/// or unwind), so the ladder starts with cheap spins and escalates to yields
+/// and short sleeps; once the budget is exhausted the caller aborts (a read
+/// is counted under `read_lock_retries_exhausted`).
+pub(crate) struct LockBackoff {
+    budget: u32,
+    attempt: u32,
+}
+
+impl LockBackoff {
+    pub(crate) fn new(budget: u32) -> LockBackoff {
+        LockBackoff { budget, attempt: 0 }
+    }
+
+    /// Waits out one backoff step. Returns `false` once the retry budget is
+    /// exhausted (the caller must abort instead of retrying again).
+    pub(crate) fn wait(&mut self) -> bool {
+        if self.attempt >= self.budget {
+            return false;
+        }
+        let step = self.attempt.min(10);
+        if step < 4 {
+            // 1, 2, 4, 8 spins.
+            for _ in 0..(1u32 << step) {
+                std::hint::spin_loop();
+            }
+        } else if step < 7 {
+            std::thread::yield_now();
+        } else {
+            // 1, 2, 4, 8 µs, capped.
+            std::thread::sleep(std::time::Duration::from_micros(1 << (step - 7)));
+        }
+        self.attempt += 1;
+        true
+    }
+}
+
 /// One object's worth of a replicated COMMIT-BACKUP record.
 pub(crate) struct RecordIntent {
     /// The object's global address.
@@ -284,17 +339,20 @@ impl Backlog {
     }
 
     /// A reader / locker / validator hit a locked slot: if the lock belongs
-    /// to an already-durable transaction, claim (or observe another thread
-    /// claiming) its destination's install. Returns whether a pending
-    /// install existed — the caller should re-read rather than back off.
-    pub(crate) fn help_install(&self, engine: &NodeEngine, addr: Addr) -> bool {
+    /// to an already-durable transaction, claim and apply its destination's
+    /// install — or find that another thread already claimed it. See
+    /// [`Help`] for what the caller does next.
+    pub(crate) fn help_install(&self, engine: &NodeEngine, addr: Addr) -> Help {
         let entry = self.index[Self::shard_of(addr)].lock().get(&addr).cloned();
         let Some((pi, di)) = entry else {
-            return false;
+            return Help::NotPending;
         };
         EngineStats::bump(&engine.stats.install_helps);
-        pi.install_dest(engine, self, di);
-        true
+        if pi.install_dest(engine, self, di) {
+            Help::Applied
+        } else {
+            Help::Claimed
+        }
     }
 
     // ------------------------------------------------------------------
@@ -510,5 +568,71 @@ impl Backlog {
                 self.deliver_truncation(engine, NodeId(dest as u32), true);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use farm_kernel::ClusterConfig;
+
+    use super::*;
+    use crate::engine::Engine;
+    use crate::opts::EngineConfig;
+
+    #[test]
+    fn a_blind_overwrite_waits_for_an_install_another_thread_claimed() {
+        // No background pass for an hour: only this test drains installs.
+        let config = EngineConfig {
+            gc_interval: Duration::from_secs(3600),
+            ..EngineConfig::default()
+        };
+        let engine = Engine::start_cluster(ClusterConfig::test(3), config);
+        let (first, second) = (engine.node(NodeId(0)), engine.node(NodeId(1)));
+        let mut setup = first.begin();
+        let addr = setup
+            .alloc_in(first.home_region().unwrap(), vec![0u8; 16])
+            .unwrap();
+        setup.commit().unwrap();
+        engine.quiesce();
+
+        // An early-acked commit leaves its install pending, and some thread
+        // claims that install and is descheduled before applying it.
+        let mut tx = first.begin();
+        tx.write(addr, vec![1u8; 16]).unwrap();
+        tx.commit().unwrap();
+        let (install, di) = first.backlog().index[Backlog::shard_of(addr)]
+            .lock()
+            .get(&addr)
+            .cloned()
+            .expect("install pending");
+        install.dests[di].claimed.store(true, Ordering::Release);
+        let claimer = {
+            let (first, second) = (Arc::clone(&first), Arc::clone(&second));
+            std::thread::spawn(move || {
+                // Resume ~200 µs after the overwrite below first finds the
+                // claimed install.
+                let deadline = Instant::now() + Duration::from_secs(1);
+                while second.stats().install_helps == 0 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_micros(200));
+                install.dests[di].claimed.store(false, Ordering::Release);
+                assert!(install.install_dest(&first, first.backlog(), di));
+            })
+        };
+
+        // From another coordinator: a blind overwrite of the same object.
+        let mut overwrite = second.begin();
+        overwrite.overwrite(addr, vec![2u8; 16]).unwrap();
+        let result = overwrite.commit();
+        claimer.join().unwrap();
+        assert!(result.is_ok(), "blind overwrite failed: {result:?}");
+        engine.quiesce();
+        let mut check = second.begin();
+        assert_eq!(&check.read(addr).unwrap()[..], &[2u8; 16]);
+        check.commit().unwrap();
+        engine.shutdown();
     }
 }

@@ -77,7 +77,7 @@ use crate::opts::{IsolationLevel, MvPolicy, TxOptions};
 use crate::stats::EngineStats;
 use crate::tx::CommitInfo;
 
-use super::backlog::{LogEntry, PendingInstall, RecordIntent};
+use super::backlog::{Help, LockBackoff, LogEntry, PendingInstall, RecordIntent};
 use super::plan::{CommitPlan, IntentKind};
 use super::unwind::unwind;
 
@@ -833,7 +833,9 @@ impl Drop for CommitDriver {
 /// A conflict against a lock held by an **already-durable** transaction
 /// (early-acked, install still pending) is not a real conflict: the locker
 /// helps complete that install and retries the batch, exactly as a real
-/// primary would process the straggler COMMIT-PRIMARY first.
+/// primary would process the straggler COMMIT-PRIMARY first. When another
+/// thread holds the claim to that install, the locker backs off
+/// (`read_lock_retries` steps) until the claimer has applied it.
 fn lock_at_destination(
     engine: &NodeEngine,
     plan: &CommitPlan,
@@ -857,17 +859,17 @@ fn lock_at_destination(
             out.failure = Some((addr, AbortReason::NodeUnavailable(addr)));
             return out;
         }
-        let mut help_attempts = 0u32;
+        let mut backoff = LockBackoff::new(engine.config().read_lock_retries);
         let slots = loop {
             match group.region_handle.try_lock_batch(&entries) {
                 Ok(slots) => break slots,
                 Err(failure) => {
-                    if failure.outcome == LockOutcome::Conflict
-                        && help_attempts < 8
-                        && engine.help_install(failure.addr)
-                    {
-                        help_attempts += 1;
-                        continue;
+                    if failure.outcome == LockOutcome::Conflict {
+                        match engine.help_install(failure.addr) {
+                            Help::Applied => continue,
+                            Help::Claimed if backoff.wait() => continue,
+                            Help::Claimed | Help::NotPending => {}
+                        }
                     }
                     let reason = match failure.outcome {
                         LockOutcome::NotAllocated => AbortReason::BadAddress(failure.addr),
@@ -995,7 +997,7 @@ fn validate_at_destination(
         let ok = match region.slot(*addr) {
             Ok(slot) => {
                 let mut h = slot.header_snapshot();
-                if h.locked && engine.help_install(*addr) {
+                if h.locked && engine.help_install(*addr) != Help::NotPending {
                     h = slot.header_snapshot();
                 }
                 // The snapshot is still current iff no version (or

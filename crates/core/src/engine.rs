@@ -13,7 +13,7 @@ use farm_net::{CompletionSet, DispatchMode, NodeId, OneSidedMeter, Verb};
 use parking_lot::Mutex;
 
 use crate::active::{ActiveToken, ActiveTxTable};
-use crate::commit::backlog::{Backlog, PendingInstall};
+use crate::commit::backlog::{Backlog, Help, PendingInstall};
 use crate::error::{AbortReason, TxError};
 use crate::opts::{EngineConfig, TxOptions};
 use crate::stats::{EngineStats, EngineStatsSnapshot};
@@ -288,10 +288,9 @@ impl NodeEngine {
     }
 
     /// A reader / locker / validator hit a locked slot: if the lock belongs
-    /// to an already-durable transaction, complete (or observe another
-    /// thread completing) its install. Returns whether a pending install
-    /// existed — callers re-read instead of backing off when it did.
-    pub(crate) fn help_install(&self, addr: Addr) -> bool {
+    /// to an already-durable transaction, complete (or find another thread
+    /// completing) its install. See [`Help`].
+    pub(crate) fn help_install(&self, addr: Addr) -> Help {
         self.backlog.help_install(self, addr)
     }
 

@@ -38,8 +38,9 @@ pub struct EngineConfig {
     /// default) for raw-throughput runs; [`farm_net::LatencyModel::datacenter`]
     /// for latency-composition experiments like Figure 13.
     pub latency: farm_net::LatencyModel,
-    /// How many times a read retries when it observes a locked head version
-    /// before aborting.
+    /// How many backoff steps a read takes when it observes a locked head
+    /// version before aborting; a locker waiting on a durable install that
+    /// another thread has claimed gets the same budget.
     pub read_lock_retries: u32,
     /// How long a raised-but-undelivered truncation watermark may sit before
     /// the background flusher sends it as a standalone message. Under any

@@ -12,50 +12,12 @@ use bytes::Bytes;
 use farm_clock::TsMode;
 use farm_memory::{Addr, ConsistentRead, OldAddr, OldVersion, RegionId};
 
+use crate::commit::backlog::{Help, LockBackoff};
 use crate::commit::{CommitDriver, CommitPlan};
 use crate::engine::NodeEngine;
 use crate::error::{AbortReason, TxError};
 use crate::opts::{IsolationLevel, TxOptions};
 use crate::stats::EngineStats;
-
-/// Bounded exponential backoff for reads that observe a locked head version.
-///
-/// The holder of a commit lock releases it within a few microseconds (install
-/// or unwind), so the ladder starts with cheap spins and escalates to yields
-/// and short sleeps; once the budget is exhausted the read aborts (and the
-/// engine counts it under `read_lock_retries_exhausted`).
-struct LockBackoff {
-    budget: u32,
-    attempt: u32,
-}
-
-impl LockBackoff {
-    fn new(budget: u32) -> LockBackoff {
-        LockBackoff { budget, attempt: 0 }
-    }
-
-    /// Waits out one backoff step. Returns `false` once the retry budget is
-    /// exhausted (the caller must abort instead of retrying again).
-    fn wait(&mut self) -> bool {
-        if self.attempt >= self.budget {
-            return false;
-        }
-        let step = self.attempt.min(10);
-        if step < 4 {
-            // 1, 2, 4, 8 spins.
-            for _ in 0..(1u32 << step) {
-                std::hint::spin_loop();
-            }
-        } else if step < 7 {
-            std::thread::yield_now();
-        } else {
-            // 1, 2, 4, 8 µs, capped.
-            std::thread::sleep(std::time::Duration::from_micros(1 << (step - 7)));
-        }
-        self.attempt += 1;
-        true
-    }
-}
 
 /// What [`Transaction::prepare_commit`] produced: either an already-decided
 /// outcome (read-only fast path, plan-build failure) or a commit driver
@@ -212,8 +174,9 @@ impl Transaction {
                 ConsistentRead::Locked => {
                     // A lock held by an already-durable (early-acked)
                     // transaction is not contention: help complete its
-                    // install and re-read immediately.
-                    if self.engine.help_install(addr) {
+                    // install and re-read immediately. If another thread
+                    // holds the install's claim, back off like any lock.
+                    if self.engine.help_install(addr) == Help::Applied {
                         continue;
                     }
                     if !backoff.wait() {
@@ -369,8 +332,9 @@ impl Transaction {
         let local = primary == self.engine.id();
         let mut backoff = LockBackoff::new(self.engine.config().read_lock_retries);
         loop {
-            // Durable-but-uninstalled writers are helped, not waited out.
-            if !self.engine.help_install(addr) && !backoff.wait() {
+            // Durable-but-uninstalled writers are helped, not waited out
+            // (unless another thread holds the claim to their install).
+            if self.engine.help_install(addr) != Help::Applied && !backoff.wait() {
                 EngineStats::bump(&self.engine.stats.read_lock_retries_exhausted);
                 return Err(self.execution_abort(AbortReason::ReadLockedObject(addr)));
             }

@@ -2,7 +2,7 @@
 //! failover.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -44,8 +44,8 @@ pub struct NoHooks;
 impl RecoveryHooks for NoHooks {}
 
 /// Cluster-wide configuration knobs. The defaults are scaled-down versions of
-/// the paper's deployment parameters; every experiment harness overrides the
-/// knobs it sweeps.
+/// the paper's deployment parameters; benchmarks and tests override the
+/// knobs they need.
 #[derive(Clone)]
 pub struct ClusterConfig {
     /// Number of machines.
@@ -58,10 +58,6 @@ pub struct ClusterConfig {
     pub control_interval: Duration,
     /// Lease expiry: a machine silent for this long is suspected.
     pub lease_expiry: Duration,
-    /// Discard all but one in `sync_sampling_ratio` synchronization
-    /// responses, emulating larger clusters at a fixed aggregate sync rate
-    /// (Figure 17). 1 = keep every response.
-    pub sync_sampling_ratio: u32,
     /// Clock subsystem configuration.
     pub clock: ClockConfig,
     /// Region / slab sizing.
@@ -93,7 +89,6 @@ impl Default for ClusterConfig {
             regions_per_node: 2,
             control_interval: Duration::from_micros(500),
             lease_expiry: Duration::from_millis(10),
-            sync_sampling_ratio: 1,
             clock: ClockConfig::default(),
             region: RegionConfig::default(),
             old_version_block_bytes: 64 * 1024,
@@ -151,8 +146,6 @@ pub struct Cluster {
     cm_lease: Mutex<CmLeaseState>,
     /// Last successful lease response observed by each non-CM.
     last_cm_response: Mutex<Vec<Instant>>,
-    /// Per-node counter of sync responses, for the sampling filter.
-    sync_counter: Vec<AtomicU64>,
     reconfig_lock: Mutex<()>,
     stop: Arc<AtomicBool>,
     control_thread: Mutex<Option<JoinHandle<()>>>,
@@ -209,7 +202,6 @@ impl Cluster {
                 gc_local: vec![0; cfg.nodes],
             }),
             last_cm_response: Mutex::new(vec![now; cfg.nodes]),
-            sync_counter: (0..cfg.nodes).map(|_| AtomicU64::new(0)).collect(),
             nodes,
             faults,
             config_store,
@@ -466,8 +458,7 @@ impl Cluster {
             let gc_cm = live.iter().map(|&i| lease.gc_local[i]).min().unwrap_or(0);
             (oat_cm, gc_cm)
         };
-        // Clock synchronization piggybacked on the lease exchange, subject to
-        // the sampling filter used to emulate larger clusters (Figure 17).
+        // Clock synchronization piggybacked on the lease exchange.
         let t_send = member_node.clock().local_clock().now_ns();
         let master_time = cm_node.clock().serve_master_time();
         let t_recv = member_node.clock().local_clock().now_ns();
@@ -479,14 +470,11 @@ impl Cluster {
         self.nodes[cm.index()].note_oat_cm(oat_cm);
         self.nodes[cm.index()].note_gc(gc_cm);
         if let Ok(t_cm) = master_time {
-            let count = self.sync_counter[member.index()].fetch_add(1, Ordering::Relaxed);
-            if count.is_multiple_of(self.cfg.sync_sampling_ratio as u64) {
-                member_node.clock().record_sync(SyncSample {
-                    t_send,
-                    t_cm,
-                    t_recv,
-                });
-            }
+            member_node.clock().record_sync(SyncSample {
+                t_send,
+                t_cm,
+                t_recv,
+            });
         }
         let mut last = self.last_cm_response.lock();
         last[member.index()] = Instant::now();
@@ -590,7 +578,7 @@ impl Cluster {
             };
 
         if cm_failed {
-            self.clock_failover(&new_config, &failed);
+            self.clock_failover(&new_config, config.cm, &failed);
         }
         // Leases restart with the new configuration: every member is granted
         // a fresh lease so the new CM does not immediately suspect survivors
@@ -641,8 +629,9 @@ impl Cluster {
         true
     }
 
-    /// The clock failover protocol of Figure 6, run by the new CM.
-    fn clock_failover(&self, new_config: &ConfigRecord, failed: &[NodeId]) {
+    /// The clock failover protocol of Figure 6, run by the new CM after
+    /// `old_cm` (one of the `failed` nodes) lost its role.
+    fn clock_failover(&self, new_config: &ConfigRecord, old_cm: NodeId, failed: &[NodeId]) {
         let new_cm = new_config.cm;
         let cm_node = &self.nodes[new_cm.index()];
         // DISABLE CLOCK on the new CM.
@@ -665,12 +654,7 @@ impl Cluster {
         }
         // LEASE EXPIRY WAIT: only needed if a non-CM failed too (the old CM's
         // lease has certainly expired if only the CM failed).
-        let non_cm_failed = failed.iter().any(|f| {
-            // "old CM" is whatever CM the previous configuration had; every
-            // failed node that is not the previous CM counts.
-            *f != self.previous_cm_guess(new_config)
-        });
-        if non_cm_failed {
+        if failed.iter().any(|&f| f != old_cm) {
             std::thread::sleep(self.cfg.lease_expiry);
         }
         // Advance FF once more with the CM's own time after the wait.
@@ -693,21 +677,14 @@ impl Cluster {
         cm_node.clock().become_master_at(ff);
         cm_node.clock().enable();
         self.events.record(EventKind::ClockEnabled { ff });
-    }
-
-    /// Best-effort guess of the CM of the previous configuration (used only
-    /// to decide whether the lease-expiry wait may be skipped).
-    fn previous_cm_guess(&self, new_config: &ConfigRecord) -> NodeId {
-        // The previous CM is the lowest-numbered node that is not in the new
-        // configuration but was initially a member, falling back to the new
-        // CM if nothing matches (conservative: forces the wait).
-        for i in 0..self.cfg.nodes as u32 {
-            let id = NodeId(i);
-            if !new_config.contains(id) {
-                return id;
+        // Survivors sync with the new master now, not a control round later:
+        // a survivor killed before its first sync never re-enables, and every
+        // thread waiting on its clock would stay blocked for good.
+        for &m in &new_config.members {
+            if m != new_cm {
+                self.lease_exchange(m, new_cm);
             }
         }
-        new_config.cm
     }
 
     /// Spawns paced background re-replication restoring the replication
@@ -932,7 +909,12 @@ mod tests {
         let before = cluster.node(NodeId(1)).clock().get_ts(TsMode::StrictWait).0;
         cluster.kill(NodeId(0));
         std::thread::sleep(Duration::from_millis(3));
+        // No round after the one that reconfigures: the failover itself
+        // must re-sync the survivors (checked below).
         for _ in 0..6 {
+            if cluster.current_config().epoch > 1 {
+                break;
+            }
             cluster.control_round();
         }
         let config = cluster.current_config();
@@ -954,6 +936,74 @@ mod tests {
         // Survivors re-enabled after syncing with the new master.
         for &m in &config.members {
             assert!(cluster.node(m).clock().is_enabled());
+        }
+    }
+
+    /// Kills `victims`, lets their leases expire and runs control rounds
+    /// until the configuration epoch has advanced; returns how long the
+    /// clock failover kept the clock disabled (zero when there was none).
+    fn fail_and_reconfigure(cluster: &Cluster, victims: &[u32]) -> Duration {
+        let epoch = cluster.current_config().epoch;
+        cluster.events().clear();
+        for &v in victims {
+            cluster.kill(NodeId(v));
+        }
+        std::thread::sleep(cluster.config().lease_expiry + Duration::from_millis(5));
+        for _ in 0..4 {
+            cluster.control_round();
+        }
+        assert_eq!(cluster.current_config().epoch, epoch + 1);
+        cluster
+            .events()
+            .span(
+                |k| matches!(k, EventKind::ClockDisabled),
+                |k| matches!(k, EventKind::ClockEnabled { .. }),
+            )
+            .unwrap_or_default()
+    }
+
+    /// Long enough to tell a lease wait from none.
+    fn long_lease() -> ClusterConfig {
+        ClusterConfig {
+            lease_expiry: Duration::from_millis(100),
+            ..ClusterConfig::test(5)
+        }
+    }
+
+    #[test]
+    fn a_second_cm_failure_alone_skips_the_lease_wait() {
+        let cluster = Cluster::start(long_lease());
+        let lease = cluster.config().lease_expiry;
+        fail_and_reconfigure(&cluster, &[0]);
+        let new_cm = cluster.current_config().cm;
+        assert_ne!(new_cm, NodeId(0));
+        // Only the current CM fails: its lease has certainly expired, so the
+        // clock comes back without waiting out another one — even though
+        // n0, not this CM, is the lowest-numbered node missing.
+        let disabled = fail_and_reconfigure(&cluster, &[new_cm.0]);
+        assert!(
+            disabled > Duration::ZERO && disabled < lease,
+            "clock disabled for {disabled:?} (lease {lease:?})"
+        );
+        assert_ne!(cluster.current_config().cm, new_cm);
+    }
+
+    #[test]
+    fn cm_and_non_cm_failing_together_wait_out_the_lease() {
+        let cluster = Cluster::start(long_lease());
+        let lease = cluster.config().lease_expiry;
+        let before = cluster.node(NodeId(1)).clock().get_ts(TsMode::StrictWait).0;
+        let disabled = fail_and_reconfigure(&cluster, &[0, 2]);
+        assert!(
+            disabled >= lease,
+            "clock disabled for {disabled:?}, shorter than the lease {lease:?}"
+        );
+        let config = cluster.current_config();
+        assert!(!config.contains(NodeId(0)) && !config.contains(NodeId(2)));
+        let after = cluster.node(config.cm).clock().get_ts(TsMode::StrictWait).0;
+        assert!(after > before, "global time went backwards across failover");
+        for &m in &config.members {
+            assert!(cluster.node(m).clock().is_enabled(), "{m:?} not re-enabled");
         }
     }
 

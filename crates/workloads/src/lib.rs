@@ -1,30 +1,21 @@
-//! # farm-workloads — TPC-C and YCSB-style workloads for the evaluation
+//! # farm-workloads — the TPC-C workload of the evaluation
 //!
-//! The paper evaluates FaRMv2 with two benchmarks (Section 5.1):
+//! The paper's headline benchmark (Section 5.1) is **TPC-C**: the full
+//! transaction mix over a schema with 16 indexes (hash tables for point
+//! access, B-trees where range queries are needed), scaled by warehouses per
+//! machine, with throughput reported as committed `neworder` transactions
+//! per second.
 //!
-//! * **TPC-C** — the full transaction mix over a schema with 16 indexes
-//!   (hash tables for point access, B-trees where range queries are needed),
-//!   scaled by warehouses per machine. Throughput is reported as committed
-//!   `neworder` transactions per second.
-//! * **YCSB** — a key-value workload over a single B-tree with Zipf-skewed
-//!   key selection (Figure 14) and a scan/update variant with bounded
-//!   old-version memory (Figure 15).
-//!
-//! This crate provides scaled-down but structurally faithful implementations
-//! of both: the TPC-C schema keeps the tables, keys and transaction logic
+//! This crate provides a scaled-down but structurally faithful
+//! implementation: the schema keeps the tables, keys and transaction logic
 //! relevant to the access patterns (multi-row reads and updates across
 //! warehouses/districts/customers/stock/orders, an item catalog replicated
-//! by sharding, order-line range reads), and the YCSB driver reproduces the
-//! Zipf selection and the 50:50 scanned/updated-key ratio of the paper's
-//! experiments.
+//! by sharding, order-line range reads). The YCSB workloads and their
+//! skewed key selection live in the `benchmark/` package, which drives both.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod tpcc;
-pub mod ycsb;
-pub mod zipf;
 
 pub use tpcc::{TpccConfig, TpccDatabase, TpccOutcome, TpccTxKind};
-pub use ycsb::{YcsbConfig, YcsbDatabase, YcsbOp};
-pub use zipf::Zipf;

@@ -485,6 +485,41 @@ mod tests {
     }
 
     #[test]
+    fn two_clients_share_one_database() {
+        let engine = Engine::start_cluster(ClusterConfig::test(3), EngineConfig::default());
+        let db = Arc::new(TpccDatabase::load(&engine, tiny()).unwrap());
+        // (committed new-orders, aborted) per client; errors count as aborts.
+        let clients: Vec<_> = (0..2u32)
+            .map(|t| {
+                let db = Arc::clone(&db);
+                std::thread::spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0x5EED + t as u64);
+                    let (mut neworders, mut aborted) = (0u32, 0u32);
+                    for _ in 0..100 {
+                        let kind = TpccTxKind::sample(&mut rng);
+                        match db.execute(NodeId(t), kind, TxOptions::serializable(), &mut rng) {
+                            Ok(TpccOutcome::Committed(TpccTxKind::NewOrder)) => neworders += 1,
+                            Ok(TpccOutcome::Committed(_)) => {}
+                            Ok(TpccOutcome::Aborted(_)) | Err(_) => aborted += 1,
+                        }
+                    }
+                    (neworders, aborted)
+                })
+            })
+            .collect();
+        let (mut neworders, mut aborted) = (0, 0);
+        for client in clients {
+            let (n, a) = client.join().unwrap();
+            neworders += n;
+            aborted += a;
+        }
+        assert!(neworders > 0, "no new-orders committed");
+        let abort_rate = aborted as f64 / 200.0;
+        assert!(abort_rate < 0.5, "abort rate {abort_rate}");
+        engine.shutdown();
+    }
+
+    #[test]
     fn new_order_advances_the_district_sequence() {
         let engine = Engine::start_cluster(ClusterConfig::test(3), EngineConfig::default());
         let db = TpccDatabase::load(&engine, tiny()).unwrap();

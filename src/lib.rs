@@ -4,10 +4,11 @@
 //! examples and integration tests have a single dependency, and so
 //! downstream users can depend on one crate.
 //!
-//! See `README.md` for the quickstart, `DESIGN.md` for the system inventory
-//! and the recorded figure results ("What the FaRMv1 baseline and operation
-//! logging measured"), and `benchmark/README.md` for the tracked end-to-end
-//! and per-layer benchmark.
+//! See `README.md` for the quickstart, `benchmark/README.md` for the one
+//! tracked measurement stack (end-to-end and per-layer), and `DESIGN.md`
+//! for the system inventory and the last results of the deleted figure
+//! harnesses ("What the FaRMv1 baseline and operation logging measured",
+//! "What the figure harnesses measured").
 
 pub use farm_clock as clock;
 pub use farm_core as core_engine;
