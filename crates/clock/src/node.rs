@@ -244,8 +244,13 @@ impl NodeClock {
 
     /// Completes a deferred strict acquisition: waits until `target` is in
     /// the past and records the wait in the clock statistics exactly as
-    /// `get_ts(StrictWait)` would have. Returns the nanoseconds waited.
+    /// `get_ts(StrictWait)` would have. Returns the nanoseconds waited. A
+    /// target already in the past costs one interval read and is no wait:
+    /// it returns 0 and records nothing.
     pub fn complete_deferred_wait(&self, target: u64) -> u64 {
+        if self.time().is_some_and(|i| i.lower >= target) {
+            return 0;
+        }
         let waited = self.wait_until_past(target);
         if waited > 0 {
             self.stats.waits.fetch_add(1, Ordering::Relaxed);
@@ -607,8 +612,28 @@ mod tests {
             assert!(node.stats().waits.load(Ordering::Relaxed) >= 1);
             assert!(node.stats().wait_ns.load(Ordering::Relaxed) >= waited);
         }
-        // A second deferred wait on an already-past target is (nearly)
-        // free: it costs one interval read, not an uncertainty wait.
-        assert!(node.complete_deferred_wait(0) < 100_000);
+        // A second deferred wait on an already-past target is free: it
+        // costs one interval read, not an uncertainty wait.
+        assert_eq!(node.complete_deferred_wait(0), 0);
+    }
+
+    #[test]
+    fn a_deferred_wait_on_a_past_target_counts_nothing() {
+        // A real-time master: every read of the local clock moves, so a
+        // wait that measured itself would report a few nanoseconds.
+        let clock: SharedClock = Arc::new(MonotonicClock::new());
+        let node = NodeClock::new_master(clock, cfg());
+        let target = node.get_ts_deferred().as_nanos();
+        std::thread::sleep(Duration::from_micros(50));
+        let before = (
+            node.stats().waits.load(Ordering::Relaxed),
+            node.stats().wait_ns.load(Ordering::Relaxed),
+        );
+        assert_eq!(node.complete_deferred_wait(target), 0);
+        let after = (
+            node.stats().waits.load(Ordering::Relaxed),
+            node.stats().wait_ns.load(Ordering::Relaxed),
+        );
+        assert_eq!(after, before, "a past target recorded a wait");
     }
 }

@@ -264,8 +264,9 @@ struct TruncState {
     watermark: AtomicU64,
     /// Per-destination watermark already delivered (piggybacked or flushed).
     delivered: Vec<AtomicU64>,
-    /// When the watermark last advanced; drives the idle flusher.
-    last_advance: Mutex<Option<Instant>>,
+    /// The watermark the idle flusher saw on its previous pass: one that
+    /// has not moved since is idle.
+    flusher_saw: AtomicU64,
 }
 
 /// One address-index entry: the pending install covering the address and
@@ -304,7 +305,7 @@ impl Backlog {
                     ceiling: AtomicU64::new(0),
                     watermark: AtomicU64::new(0),
                     delivered: (0..n).map(|_| AtomicU64::new(0)).collect(),
-                    last_advance: Mutex::new(None),
+                    flusher_saw: AtomicU64::new(0),
                 })
                 .collect(),
         }
@@ -507,10 +508,7 @@ impl Backlog {
             .map(|&m| m.saturating_sub(1))
             .unwrap_or_else(|| st.ceiling.load(Ordering::Acquire));
         drop(inflight);
-        let prev = st.watermark.fetch_max(wm, Ordering::AcqRel);
-        if wm > prev {
-            *st.last_advance.lock() = Some(Instant::now());
-        }
+        st.watermark.fetch_max(wm, Ordering::AcqRel);
     }
 
     /// The coordinator's current `truncate_below` watermark.
@@ -549,20 +547,18 @@ impl Backlog {
     }
 
     /// Sends standalone flushes for every destination still behind a
-    /// watermark that has sat idle for at least `idle`. Run by the engine's
-    /// background thread; under steady traffic the piggybacked deliveries
-    /// win this race and no standalone message is ever sent.
-    pub(crate) fn flush_idle(&self, engine: &NodeEngine, idle: std::time::Duration) {
+    /// watermark that has not moved since the previous call. Run once per
+    /// pass by the engine's background thread, so a watermark is flushed
+    /// after sitting idle for one pass; under steady traffic it keeps
+    /// moving, the piggybacked deliveries win, and no standalone message is
+    /// ever sent.
+    pub(crate) fn flush_idle(&self, engine: &NodeEngine) {
         let coordinator = engine.id();
         let st = &self.trunc[coordinator.index()];
-        let stale = match *st.last_advance.lock() {
-            Some(at) => at.elapsed() >= idle,
-            None => return,
-        };
-        if !stale {
+        let w = st.watermark.load(Ordering::Acquire);
+        if st.flusher_saw.swap(w, Ordering::AcqRel) != w {
             return;
         }
-        let w = st.watermark.load(Ordering::Acquire);
         for dest in 0..st.delivered.len() {
             if st.delivered[dest].load(Ordering::Acquire) < w {
                 self.deliver_truncation(engine, NodeId(dest as u32), true);

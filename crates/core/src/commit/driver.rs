@@ -191,7 +191,8 @@ pub struct CommitDriver {
     trunc_registered: bool,
     /// Results of the phase currently in flight.
     pending: Option<Pending>,
-    /// When the in-flight phase was issued (phase histogram).
+    /// The `advance` clock read that issued the in-flight phase (phase
+    /// histogram).
     phase_started: Option<Instant>,
     /// Terminal bookkeeping has run; disarms the abandoned-driver `Drop`.
     completed: bool,
@@ -256,7 +257,7 @@ impl CommitDriver {
     pub(crate) fn run(mut self) -> Result<CommitInfo, TxError> {
         let model = self.engine.meter.latency_model();
         loop {
-            match self.advance() {
+            match self.advance(Instant::now()) {
                 DriverStep::Wait(deadline) => model.wait_until(deadline),
                 DriverStep::Finished(result) => return result,
             }
@@ -267,17 +268,20 @@ impl CommitDriver {
     /// whose deadline the caller waited out, then issues phases until one
     /// has a future completion deadline (returned as [`DriverStep::Wait`])
     /// or the commit reaches a terminal state.
-    pub(crate) fn advance(&mut self) -> DriverStep {
+    ///
+    /// `now` is the caller's clock read, taken after the awaited deadline
+    /// passed and before this call: it stamps both the finish of the
+    /// awaited phase and the start of every phase this call issues, so the
+    /// phase timer costs no clock read of its own. A flight never looks
+    /// shorter than the model — its issue stamp is at or before the real
+    /// issue, its finish stamp at or after the deadline — and a local phase
+    /// that finishes within the same call records 0 (its CPU shows in the
+    /// caller's own accounting).
+    pub(crate) fn advance(&mut self, now: Instant) -> DriverStep {
         loop {
             if let Some(pending) = self.pending.take() {
-                let phase = self.phase;
-                let started = self.phase_started.take().expect("issued phases are timed");
                 let result = self.finish_phase(pending);
-                self.engine
-                    .meter
-                    .stats()
-                    .phases()
-                    .record(phase_label(phase), started.elapsed().as_nanos() as u64);
+                self.record_phase(now);
                 match result {
                     Ok(Step::Next(next)) => self.phase = next,
                     Ok(Step::Finish(outcome)) => {
@@ -298,22 +302,28 @@ impl CommitDriver {
                 let err = self.abort(AbortReason::CoordinatorDead);
                 return DriverStep::Finished(self.seal(Err(err)));
             }
-            self.phase_started = Some(Instant::now());
+            self.phase_started = Some(now);
             match self.issue_phase() {
                 Ok(Some(deadline)) => return DriverStep::Wait(deadline),
                 Ok(None) => continue, // completes immediately; finish above
                 Err(e) => {
-                    let phase = self.phase;
-                    let started = self.phase_started.take().expect("just set");
-                    self.engine
-                        .meter
-                        .stats()
-                        .phases()
-                        .record(phase_label(phase), started.elapsed().as_nanos() as u64);
+                    self.record_phase(now);
                     return DriverStep::Finished(self.seal(Err(e)));
                 }
             }
         }
+    }
+
+    /// Records the current phase's wall-clock, from its issue stamp to `now`.
+    fn record_phase(&mut self, now: Instant) {
+        let started = self
+            .phase_started
+            .take()
+            .expect("issued phases are stamped");
+        self.engine.meter.stats().phases().record(
+            phase_label(self.phase),
+            now.saturating_duration_since(started).as_nanos() as u64,
+        );
     }
 
     /// Terminal bookkeeping, run exactly once: withdraw the active-table
@@ -678,20 +688,9 @@ impl CommitDriver {
         let multi_version = engine.config().mv_policy.is_some();
         // Backup redo-log records: one entry per backup destination holding
         // that destination's intents, with the primary's slab size classes
-        // resolved so the backup can mirror the layout.
-        let slab_sizes: Vec<Option<Vec<usize>>> = self
-            .plan
-            .groups
-            .iter()
-            .map(|g| slab_sizes_of(&engine, g))
-            .collect();
+        // (resolved by the plan) so the backup can mirror the layout.
         let mut per_backup: Vec<(NodeId, Vec<RecordIntent>)> = Vec::new();
-        for (group, sizes) in self.plan.groups.iter().zip(&slab_sizes) {
-            let Some(sizes) = sizes else {
-                // The primary's region is gone (e.g. dropped after a kill):
-                // nothing to mirror.
-                continue;
-            };
+        for group in &self.plan.groups {
             for &backup in &group.backups {
                 let records = match per_backup.iter_mut().find(|(n, _)| *n == backup) {
                     Some((_, records)) => records,
@@ -700,14 +699,12 @@ impl CommitDriver {
                         &mut per_backup.last_mut().expect("just pushed").1
                     }
                 };
-                for (intent, &slab_size) in group.intents.iter().zip(sizes) {
-                    records.push(RecordIntent {
-                        addr: intent.addr,
-                        free: intent.kind == IntentKind::Free,
-                        data: intent.data.clone(),
-                        slab_size,
-                    });
-                }
+                records.extend(group.intents.iter().map(|intent| RecordIntent {
+                    addr: intent.addr,
+                    free: intent.kind == IntentKind::Free,
+                    data: intent.data.clone(),
+                    slab_size: intent.slab_size,
+                }));
             }
         }
         for (backup, intents) in per_backup {
@@ -1064,28 +1061,6 @@ pub(crate) fn install_held_lock(
     }
 }
 
-/// Object sizes (slab size classes) of a group's intents at the primary,
-/// used to mirror the slab layout at backups. 0 marks unresolvable slots.
-fn slab_sizes_of(engine: &NodeEngine, group: &super::plan::RegionGroup) -> Option<Vec<usize>> {
-    let region = engine
-        .cluster()
-        .node(group.primary)
-        .regions()
-        .get(group.region)?;
-    Some(
-        group
-            .intents
-            .iter()
-            .map(|i| {
-                region
-                    .slab(i.addr.slab)
-                    .map(|s| s.object_size())
-                    .unwrap_or(0)
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use std::time::Duration;
@@ -1113,7 +1088,7 @@ mod tests {
     fn park(driver: &mut CommitDriver, at: fn(&Pending) -> bool) {
         let model = driver.engine.meter.latency_model();
         loop {
-            match driver.advance() {
+            match driver.advance(Instant::now()) {
                 DriverStep::Wait(_) if driver.pending.as_ref().is_some_and(at) => return,
                 DriverStep::Wait(deadline) => model.wait_until(deadline),
                 DriverStep::Finished(result) => panic!("finished before parking: {result:?}"),

@@ -99,7 +99,8 @@ pub struct PipelineTimings {
     /// Deadline sleeps taken (each may complete a whole batch of verbs).
     pub wakeups: u64,
     /// Flights advanced by a wakeup that targeted another flight's deadline
-    /// batch — i.e. heap pops beyond the first on a single sweep.
+    /// batch — i.e. heap pops beyond the first on the sweep that follows a
+    /// deadline sleep. A reactor that never sleeps coalesces nothing.
     pub coalesced: u64,
     /// Commits completed through the reactor.
     pub completed: u64,
@@ -229,25 +230,24 @@ impl CommitPipeline {
         self.take()
     }
 
-    /// One non-blocking sweep against a single clock read: advance every
-    /// ready flight plus the expired prefix of the deadline heap. Returns
-    /// whether any flight made progress. Completed flights simply drop out
-    /// of the batch (no `Vec::remove` shifting — results are completion
-    /// order, as documented on [`CommitPipeline::submit`]).
-    fn step_ready(&mut self, now: Instant) -> bool {
+    /// One non-blocking sweep against a single clock read, which every
+    /// driver it advances also stamps its phases with: advance every ready
+    /// flight plus the expired prefix of the deadline heap. Returns how many
+    /// flights made progress. Completed flights simply drop out of the batch
+    /// (no `Vec::remove` shifting — results are completion order, as
+    /// documented on [`CommitPipeline::submit`]).
+    fn step_ready(&mut self, now: Instant) -> usize {
         let mut batch = std::mem::take(&mut self.ready);
-        let fresh = batch.len();
         while self.waiting.peek().is_some_and(|w| w.wake <= now) {
             batch.push(self.waiting.pop().expect("peeked").driver);
         }
-        if batch.is_empty() {
-            return false;
+        let advanced = batch.len();
+        if advanced == 0 {
+            return 0;
         }
         self.timings.sweeps += 1;
-        let popped = batch.len() - fresh;
-        self.timings.coalesced += popped.saturating_sub(1) as u64;
         for mut driver in batch {
-            match driver.advance() {
+            match driver.advance(now) {
                 DriverStep::Wait(wake) => {
                     self.seq += 1;
                     self.waiting.push(Waiting {
@@ -263,7 +263,7 @@ impl CommitPipeline {
             }
         }
         self.timings.issue_ns += now.elapsed().as_nanos() as u64;
-        true
+        advanced
     }
 
     /// Pumps until at most `target` commits remain in flight: sweep the
@@ -271,9 +271,17 @@ impl CommitPipeline {
     /// backlog, and sleep once for the whole batch of deadlines within the
     /// wake quantum of the earliest one.
     fn pump_until(&mut self, target: usize) {
+        let mut slept = false;
         while self.in_flight() > target {
             let now = Instant::now();
-            if self.step_ready(now) {
+            let woke = std::mem::take(&mut slept);
+            let advanced = self.step_ready(now);
+            if advanced > 0 {
+                if woke {
+                    // Nothing was ready before the sleep: every flight this
+                    // sweep advances rode the one wakeup.
+                    self.timings.coalesced += advanced as u64 - 1;
+                }
                 continue;
             }
             // Every flight is on the wire: background work first.
@@ -287,6 +295,7 @@ impl CommitPipeline {
             self.timings.wakeups += 1;
             self.engine.meter.latency_model().wait_until(batch_end);
             self.timings.wait_ns += now.elapsed().as_nanos() as u64;
+            slept = true;
         }
     }
 }

@@ -45,6 +45,9 @@ pub struct WriteIntent {
     pub data: Bytes,
     /// What kind of intent this is.
     pub kind: IntentKind,
+    /// The primary's slab size class for the object, which backups mirror
+    /// when they materialize the slab; 0 marks an unresolvable slab.
+    pub slab_size: usize,
 }
 
 impl WriteIntent {
@@ -145,6 +148,7 @@ impl CommitPlan {
                 expected_ts: 0,
                 data,
                 kind: IntentKind::Alloc,
+                slab_size: 0,
             });
         }
         for (&addr, data) in write_set {
@@ -164,6 +168,7 @@ impl CommitPlan {
                 expected_ts,
                 data: data.clone(),
                 kind: IntentKind::Update,
+                slab_size: 0,
             });
         }
         for &addr in &frees {
@@ -176,12 +181,14 @@ impl CommitPlan {
                 expected_ts,
                 data: Bytes::new(),
                 kind: IntentKind::Free,
+                slab_size: 0,
             });
         }
 
         // Group by region, then sort groups by region id and intents by
         // address: the resulting iteration order is the ascending global
-        // address order.
+        // address order. Each group's routing (primary, backups, the
+        // primary's replica, slab size classes) is resolved once, here.
         let mut by_region: HashMap<RegionId, Vec<WriteIntent>> = HashMap::new();
         for intent in intents {
             by_region
@@ -193,14 +200,18 @@ impl CommitPlan {
         for (region, mut group_intents) in by_region {
             group_intents.sort_by_key(|i| i.addr);
             let probe = group_intents[0].addr;
-            let (primary, region_handle) = engine
-                .primary_region_of(probe)
+            let (assignment, region_handle) = engine
+                .route_of(probe)
                 .map_err(|_| AbortReason::RegionUnavailable(probe))?;
-            let backups = engine.backups_of(probe);
+            for intent in &mut group_intents {
+                intent.slab_size = region_handle
+                    .slab_at(intent.addr.slab)
+                    .map_or(0, |s| s.object_size());
+            }
             groups.push(RegionGroup {
                 region,
-                primary,
-                backups,
+                primary: assignment.primary,
+                backups: assignment.backups,
                 region_handle,
                 intents: group_intents,
             });

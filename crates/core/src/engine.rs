@@ -7,7 +7,9 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use farm_kernel::{Cluster, ConfigRecord, EventKind, EventLog, NodeHandle, RecoveryHooks};
+use farm_kernel::{
+    Cluster, ConfigRecord, EventKind, EventLog, NodeHandle, RecoveryHooks, RegionAssignment,
+};
 use farm_memory::{Addr, Region, RegionId};
 use farm_net::{CompletionSet, DispatchMode, NodeId, OneSidedMeter, Verb};
 use parking_lot::Mutex;
@@ -372,29 +374,40 @@ impl NodeEngine {
     /// both clear within one reconfiguration, so a retry loop rides them
     /// out.
     pub(crate) fn primary_region_of(&self, addr: Addr) -> Result<(NodeId, Arc<Region>), TxError> {
-        if self.cluster.is_region_blocked(addr.region) {
-            return Err(TxError::Aborted(AbortReason::Reconfiguring(addr.region)));
-        }
+        self.check_unblocked(addr)?;
         let primary = self
             .cluster
             .primary_of(addr.region)
             .ok_or(TxError::Aborted(AbortReason::BadAddress(addr)))?;
-        if !self.cluster.node(primary).is_alive() {
-            return Err(TxError::Aborted(AbortReason::NodeUnavailable(addr)));
-        }
-        Ok((
-            primary,
-            self.cluster.node(primary).regions().ensure(addr.region),
-        ))
+        Ok((primary, self.serving_replica(addr, primary)?))
     }
 
-    /// Backup replicas of the region holding `addr` (may be empty).
-    pub(crate) fn backups_of(&self, addr: Addr) -> Vec<NodeId> {
-        let replicas = self.cluster.replicas_of(addr.region);
-        match replicas.split_first() {
-            Some((_, rest)) => rest.to_vec(),
-            None => Vec::new(),
+    /// [`NodeEngine::primary_region_of`] plus the region's backups, from one
+    /// placement read: the commit plan's routing.
+    pub(crate) fn route_of(&self, addr: Addr) -> Result<(RegionAssignment, Arc<Region>), TxError> {
+        self.check_unblocked(addr)?;
+        let assignment = self
+            .cluster
+            .assignment_of(addr.region)
+            .ok_or(TxError::Aborted(AbortReason::BadAddress(addr)))?;
+        let region = self.serving_replica(addr, assignment.primary)?;
+        Ok((assignment, region))
+    }
+
+    fn check_unblocked(&self, addr: Addr) -> Result<(), TxError> {
+        if self.cluster.is_region_blocked(addr.region) {
+            return Err(TxError::Aborted(AbortReason::Reconfiguring(addr.region)));
         }
+        Ok(())
+    }
+
+    /// The replica of `addr`'s region at `primary`, if that node is alive.
+    fn serving_replica(&self, addr: Addr, primary: NodeId) -> Result<Arc<Region>, TxError> {
+        let node = self.cluster.node(primary);
+        if !node.is_alive() {
+            return Err(TxError::Aborted(AbortReason::NodeUnavailable(addr)));
+        }
+        Ok(node.regions().ensure(addr.region))
     }
 }
 
@@ -536,12 +549,11 @@ impl Engine {
             gc_thread: Mutex::new(None),
         });
         // Background GC driver; also drains straggler installs and flushes
-        // truncation watermarks that sat idle (no outgoing verb to piggyback
-        // on).
+        // truncation watermarks that sat idle for a whole pass (no outgoing
+        // verb to piggyback on).
         let stop = Arc::clone(&engine.stop);
         let nodes_for_gc: Vec<Arc<NodeEngine>> = engine.nodes.clone();
         let interval = config.gc_interval;
-        let idle = config.truncate_idle_flush;
         let handle = std::thread::Builder::new()
             .name("farm-gc".into())
             .spawn(move || {
@@ -567,7 +579,7 @@ impl Engine {
                         // is cluster-shared), so locks never wait on an
                         // explicit reconfiguration to release.
                         node.drain_pending_installs();
-                        node.backlog.flush_idle(node, idle);
+                        node.backlog.flush_idle(node);
                         if node.is_alive() {
                             collect_node_garbage(node.handle());
                         }

@@ -42,13 +42,10 @@ pub struct EngineConfig {
     /// version before aborting; a locker waiting on a durable install that
     /// another thread has claimed gets the same budget.
     pub read_lock_retries: u32,
-    /// How long a raised-but-undelivered truncation watermark may sit before
-    /// the background flusher sends it as a standalone message. Under any
-    /// steady commit traffic the watermark piggybacks on protocol verbs well
-    /// before this expires, so standalone TRUNCATE messages only appear on
-    /// idle connections.
-    pub truncate_idle_flush: std::time::Duration,
-    /// Interval of the background old-version garbage collector.
+    /// Interval of the background thread: old-version garbage collection,
+    /// straggler installs, and the standalone flush of a truncation
+    /// watermark that has not moved for a whole interval (under steady
+    /// commit traffic it piggybacks on protocol verbs instead).
     pub gc_interval: std::time::Duration,
     /// DELIBERATELY INCORRECT (Section 7.3): skip the uncertainty wait when
     /// acquiring the write timestamp. Only for the ablation experiment and
@@ -62,7 +59,6 @@ impl Default for EngineConfig {
             mv_policy: None,
             latency: farm_net::LatencyModel::zero(),
             read_lock_retries: 100,
-            truncate_idle_flush: std::time::Duration::from_millis(1),
             gc_interval: std::time::Duration::from_millis(2),
             unsafe_skip_write_wait: false,
         }

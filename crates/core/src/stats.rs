@@ -117,8 +117,8 @@ counters! {
     /// Truncation watermark deliveries piggybacked on outgoing LOCK /
     /// VALIDATE / COMMIT-BACKUP verbs (zero standalone messages).
     truncations_piggybacked,
-    /// Standalone truncation flushes sent because a watermark sat idle past
-    /// [`crate::EngineConfig::truncate_idle_flush`].
+    /// Standalone truncation flushes sent because a watermark sat idle for
+    /// a whole [`crate::EngineConfig::gc_interval`] pass.
     truncate_flushes,
     // ---- Failure-recovery counters --------------------------------------
     /// Decided (early-acked) transactions of a dead coordinator rolled

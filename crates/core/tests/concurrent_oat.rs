@@ -48,19 +48,24 @@ fn oat_and_gc_safe_point_never_pass_a_live_transaction() {
                 let mut i = 0u64;
                 while !stop.load(Ordering::SeqCst) {
                     let mut tx = node.begin_with(TxOptions::serializable());
-                    // Publish only after `begin` returns: from here until the
-                    // slot is cleared the registration is provably live.
-                    live[w].store(tx.read_ts(), Ordering::SeqCst);
                     let outcome = match i % 3 {
                         0 => tx.read(addr).map(|_| ()),
                         1 => tx.write(addr, vec![w as u8; 16]),
                         _ => Ok(()), // drop without committing (abort path)
                     };
-                    // Clear before finishing, so a sampled non-zero slot
-                    // implies the transaction is still registered.
-                    live[w].store(0, Ordering::SeqCst);
-                    if outcome.is_ok() && i % 3 != 2 {
-                        let _ = tx.commit();
+                    // A failed read or write has already aborted the
+                    // transaction and withdrawn its registration, inside the
+                    // op. One whose op succeeded stays registered until the
+                    // commit or drop below: publish it for that window only
+                    // (held across a yield so the sampler gets to see it),
+                    // so a sampled non-zero slot implies a registration.
+                    if outcome.is_ok() {
+                        live[w].store(tx.read_ts(), Ordering::SeqCst);
+                        std::thread::yield_now();
+                        live[w].store(0, Ordering::SeqCst);
+                        if i % 3 != 2 {
+                            let _ = tx.commit();
+                        }
                     }
                     i += 1;
                 }

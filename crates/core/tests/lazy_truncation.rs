@@ -93,10 +93,10 @@ fn steady_traffic_piggybacks_every_truncation() {
 
 #[test]
 fn idle_watermarks_flush_and_never_regress() {
-    // Fast background flusher: 1 ms GC cadence, 1 ms idle threshold.
+    // Fast background flusher: a 1 ms pass flushes a watermark that has
+    // not moved since the previous pass.
     let config = EngineConfig {
         gc_interval: Duration::from_millis(1),
-        truncate_idle_flush: Duration::from_millis(1),
         ..EngineConfig::default()
     };
     let engine = Engine::start_cluster(ClusterConfig::test(3), config);

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use farm_core::{Engine, EngineConfig, NodeId, TxError};
 use farm_kernel::ClusterConfig;
 use farm_memory::{Addr, RegionId};
-use farm_net::LatencyModel;
+use farm_net::{LatencyModel, PhaseLabel};
 
 /// A latency model scaled well above debug-build CPU costs, spinning (not
 /// sleeping) so OS scheduling slack cannot blur timing-sensitive assertions.
@@ -245,5 +245,81 @@ fn pipeline_timings_split_busy_and_wait() {
 
     engine.quiesce();
     assert_unlocked_with(&engine, &addrs, 9);
+    engine.shutdown();
+}
+
+/// A reactor whose deadlines are always past never sleeps, so it has no
+/// wakeup for any flight to coalesce into: sweeps that pop several expired
+/// flights are not counted as coalesced.
+#[test]
+fn a_reactor_that_never_sleeps_coalesces_nothing() {
+    const N: usize = 32;
+    let one_ns = LatencyModel {
+        rdma_read_ns: 1,
+        rdma_write_ns: 1,
+        rpc_ns: 1,
+        ..LatencyModel::default()
+    };
+    let engine = engine_with(one_ns);
+    let node = engine.node(NodeId(0));
+    let addrs = alloc_pool(&engine, NodeId(0), N);
+
+    let mut pipeline = node.pipeline(4);
+    for &addr in &addrs {
+        let mut tx = node.begin();
+        tx.overwrite(addr, vec![10u8; 16]).unwrap();
+        pipeline.submit(tx);
+    }
+    let results = pipeline.drain();
+    assert!(results.iter().all(|r| r.is_ok()));
+    let t = pipeline.timings();
+    assert_eq!(t.completed, N as u64);
+    assert_eq!((t.wakeups, t.coalesced), (0, 0), "{t:?}");
+    engine.shutdown();
+}
+
+/// The phase histogram under datacenter latency, for synchronous and
+/// pipelined commits alike: one LOCK and one COMMIT-BACKUP sample per
+/// commit, and no remote flight recorded shorter than the model's verb
+/// latency. Histogram buckets are powers of two, so "not shorter" is
+/// checked against the lower edge of the bucket holding the latency.
+#[test]
+fn remote_phases_are_sampled_once_and_never_shorter_than_their_flight() {
+    const N: usize = 16;
+    let model = LatencyModel::datacenter();
+    let engine = engine_with(model);
+    let node = engine.node(NodeId(0));
+    let addrs = alloc_pool(&engine, NodeId(0), 2 * N);
+    let phases = || node.handle().stats().phases().snapshot();
+    let before = phases();
+
+    for &addr in &addrs[..N] {
+        let mut tx = node.begin();
+        tx.overwrite(addr, vec![11u8; 16]).unwrap();
+        tx.commit().unwrap();
+    }
+    let mut pipeline = node.pipeline(4);
+    for &addr in &addrs[N..] {
+        let mut tx = node.begin();
+        tx.overwrite(addr, vec![11u8; 16]).unwrap();
+        pipeline.submit(tx);
+    }
+    assert!(pipeline.drain().iter().all(|r| r.is_ok()));
+
+    let d = phases().delta(&before);
+    // The smallest sample's bucket, as the upper edge `quantile_ns` reports,
+    // must be at least the upper edge of the bucket holding `floor_ns`.
+    let bucket_upper_edge = |ns: u64| 1u64 << (64 - ns.leading_zeros());
+    for (phase, floor_ns) in [
+        (PhaseLabel::Lock, model.rpc_ns),
+        (PhaseLabel::ReplicateBackups, model.rdma_write_ns),
+    ] {
+        assert_eq!(d.count(phase), 2 * N as u64, "{phase:?} samples");
+        let min = d.quantile_ns(phase, 0.0);
+        assert!(
+            min >= bucket_upper_edge(floor_ns),
+            "a {phase:?} sample fell below {floor_ns} ns (bucket edge {min})"
+        );
+    }
     engine.shutdown();
 }

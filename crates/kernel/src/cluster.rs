@@ -15,7 +15,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::config::{ConfigRecord, ConfigStore};
 use crate::events::{EventKind, EventLog};
 use crate::node::NodeHandle;
-use crate::placement::Placement;
+use crate::placement::{Placement, RegionAssignment};
 
 /// Hooks with which the transaction engine reacts to control-plane events.
 pub trait RecoveryHooks: Send + Sync {
@@ -281,6 +281,11 @@ impl Cluster {
     /// The current primary of a region, if the region exists.
     pub fn primary_of(&self, region: RegionId) -> Option<NodeId> {
         self.placement.read().assignment(region).map(|a| a.primary)
+    }
+
+    /// The current primary and backups of a region, from one placement read.
+    pub fn assignment_of(&self, region: RegionId) -> Option<RegionAssignment> {
+        self.placement.read().assignment(region).cloned()
     }
 
     /// The current replica set of a region.

@@ -159,8 +159,9 @@ impl Region {
     }
 
     /// Borrows the slab at `index` from the current snapshot (which outlives
-    /// the borrow: replaced snapshots are retired, not freed).
-    fn slab_at(&self, index: u16) -> Option<&Arc<Slab>> {
+    /// the borrow: replaced snapshots are retired, not freed) — [`Region::slab`]
+    /// without the reference-count traffic.
+    pub fn slab_at(&self, index: u16) -> Option<&Arc<Slab>> {
         self.slabs.load().get(index as usize)
     }
 
