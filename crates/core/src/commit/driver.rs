@@ -480,10 +480,9 @@ impl CommitDriver {
     /// Snapshot-isolation acquisition, run while the COMMIT-BACKUP writes are
     /// in flight (`overlapped` says whether any actually are, for the overlap
     /// statistics): strict SI waits out the uncertainty, non-strict SI takes
-    /// the upper bound without waiting. The `unsafe_skip_write_wait`
-    /// ablation never waits, which breaks strictness (Section 7.3).
+    /// the upper bound without waiting.
     fn acquire_write_ts(&mut self, overlapped: bool) {
-        let mode = if self.engine.config().unsafe_skip_write_wait || !self.opts.strict {
+        let mode = if !self.opts.strict {
             TsMode::NonStrictUpper
         } else {
             TsMode::StrictWait
@@ -498,14 +497,11 @@ impl CommitDriver {
     /// waiting** and remember it; the uncertainty wait happens in the
     /// ReplicateBackups phase, overlapping the COMMIT-BACKUP flight window
     /// (Figure 4). Writes are still only exposed (installed) after the wait
-    /// completes, so strictness is preserved. The `unsafe_skip_write_wait`
-    /// ablation skips the wait entirely, which breaks serializability
-    /// (Section 7.3).
+    /// completes, so strictness is preserved; skipping the wait would break
+    /// it (the Section 7.3 counterexample).
     fn defer_write_ts(&mut self) {
         self.write_ts = self.engine.handle().clock().get_ts_deferred().as_nanos();
-        if !self.engine.config().unsafe_skip_write_wait {
-            self.deferred_wait_target = Some(self.write_ts);
-        }
+        self.deferred_wait_target = Some(self.write_ts);
         self.register_trunc();
     }
 

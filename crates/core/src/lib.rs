@@ -32,10 +32,7 @@
 //! Section 7 of the paper proves opacity for the simplified protocol; the
 //! property tests in this crate and in the workspace `tests/` directory check
 //! the read invariant (Lemma 2), the write invariant (Lemma 3) and
-//! serializability of randomized histories against a sequential oracle. The
-//! deliberately-unsafe option [`EngineConfig::unsafe_skip_write_wait`]
-//! reproduces the Section 7.3 counterexample: with it enabled, the
-//! serializability checker finds violations.
+//! serializability of randomized histories against a sequential oracle.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

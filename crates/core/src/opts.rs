@@ -47,10 +47,6 @@ pub struct EngineConfig {
     /// watermark that has not moved for a whole interval (under steady
     /// commit traffic it piggybacks on protocol verbs instead).
     pub gc_interval: std::time::Duration,
-    /// DELIBERATELY INCORRECT (Section 7.3): skip the uncertainty wait when
-    /// acquiring the write timestamp. Only for the ablation experiment and
-    /// the counterexample test; never enable in real use.
-    pub unsafe_skip_write_wait: bool,
 }
 
 impl Default for EngineConfig {
@@ -60,7 +56,6 @@ impl Default for EngineConfig {
             latency: farm_net::LatencyModel::zero(),
             read_lock_retries: 100,
             gc_interval: std::time::Duration::from_millis(2),
-            unsafe_skip_write_wait: false,
         }
     }
 }
@@ -164,7 +159,6 @@ mod tests {
     #[test]
     fn engine_config_presets() {
         let config = EngineConfig::default();
-        assert!(!config.unsafe_skip_write_wait);
         assert_eq!(config.latency, farm_net::LatencyModel::zero());
     }
 }

@@ -161,32 +161,7 @@ impl Transaction {
             return Ok(buffered.clone());
         }
         let (primary, region) = self.engine.primary_region_of(addr)?;
-        let slot = region
-            .slot(addr)
-            .map_err(|_| self.execution_abort(AbortReason::BadAddress(addr)))?;
-        let local = primary == self.engine.id();
-        let mut backoff = LockBackoff::new(self.engine.config().read_lock_retries);
-        loop {
-            // One-sided RDMA read of the head version from the primary
-            // (free when the primary is this machine).
-            self.meter_read(local, 64 + slot.raw_data().len());
-            match slot.read_consistent() {
-                ConsistentRead::Locked => {
-                    // A lock held by an already-durable (early-acked)
-                    // transaction is not contention: help complete its
-                    // install and re-read immediately. If another thread
-                    // holds the install's claim, back off like any lock.
-                    if self.engine.help_install(addr) == Help::Applied {
-                        continue;
-                    }
-                    if !backoff.wait() {
-                        EngineStats::bump(&self.engine.stats.read_lock_retries_exhausted);
-                        return Err(self.execution_abort(AbortReason::ReadLockedObject(addr)));
-                    }
-                }
-                other => return self.admit_read(primary, addr, other),
-            }
-        }
+        self.read_slot(primary, &region, addr, None)
     }
 
     /// Reads many objects in one call, batching the traffic **per destination
@@ -306,7 +281,7 @@ impl Transaction {
         for (i, primary, region, result) in pending {
             let addr = addrs[i];
             let value = match result {
-                ConsistentRead::Locked => self.reread_locked(primary, &region, addr)?,
+                ConsistentRead::Locked => self.read_slot(primary, &region, addr, Some(result))?,
                 other => self.admit_read(primary, addr, other)?,
             };
             out[i] = Some(value);
@@ -317,14 +292,19 @@ impl Transaction {
             .collect())
     }
 
-    /// Re-reads a single slot that was locked inside a batch, with bounded
-    /// exponential backoff. Retry reads are metered individually (the batch
-    /// message has already completed by the time the fallback runs).
-    fn reread_locked(
+    /// Reads the slot at `addr` until its head version is not locked, then
+    /// admits what it saw. `seen` is an outcome already observed by a
+    /// batched read (the first pass then re-reads nothing); `None` starts
+    /// with a read. A lock held by an already-durable (early-acked)
+    /// transaction is not contention: its install is helped and the slot
+    /// re-read at once. Any other lock (or an install another thread has
+    /// claimed) is waited out with bounded exponential backoff.
+    fn read_slot(
         &mut self,
         primary: farm_net::NodeId,
-        region: &Arc<farm_memory::Region>,
+        region: &farm_memory::Region,
         addr: Addr,
+        mut seen: Option<ConsistentRead>,
     ) -> Result<Bytes, TxError> {
         let slot = region
             .slot(addr)
@@ -332,16 +312,17 @@ impl Transaction {
         let local = primary == self.engine.id();
         let mut backoff = LockBackoff::new(self.engine.config().read_lock_retries);
         loop {
-            // Durable-but-uninstalled writers are helped, not waited out
-            // (unless another thread holds the claim to their install).
+            let result = match seen.take() {
+                Some(result) => result,
+                None => self
+                    .one_sided_read(local, 64 + slot.raw_data().len(), || slot.read_consistent()),
+            };
+            let ConsistentRead::Locked = result else {
+                return self.admit_read(primary, addr, result);
+            };
             if self.engine.help_install(addr) != Help::Applied && !backoff.wait() {
                 EngineStats::bump(&self.engine.stats.read_lock_retries_exhausted);
                 return Err(self.execution_abort(AbortReason::ReadLockedObject(addr)));
-            }
-            self.meter_read(local, 64 + slot.raw_data().len());
-            match slot.read_consistent() {
-                ConsistentRead::Locked => continue,
-                other => return self.admit_read(primary, addr, other),
             }
         }
     }
@@ -380,14 +361,22 @@ impl Transaction {
         }
     }
 
-    /// Meters one one-sided read of `bytes`, unless the target primary is
-    /// this machine (local bypass: a plain memory access, no network).
-    fn meter_read(&self, local: bool, bytes: usize) {
+    /// One one-sided read of `bytes` whose destination-side load is
+    /// `access`. A remote read is metered and its flight paid through the
+    /// deadline taken at issue, so the flight overlaps the access, as in a
+    /// [`farm_net::CompletionSet`]. When the target primary is this machine
+    /// (local bypass) it is a plain memory access: no message, no wait.
+    fn one_sided_read<R>(&self, local: bool, bytes: usize, access: impl FnOnce() -> R) -> R {
         if local {
             EngineStats::bump(&self.engine.stats.read_local_bypass);
-        } else {
-            self.engine.meter.read(bytes);
+            return access();
         }
+        let deadline = self.engine.meter.read(bytes);
+        let result = access();
+        if let Some(deadline) = deadline {
+            self.engine.meter.latency_model().wait_until(deadline);
+        }
+        result
     }
 
     /// Follows the old-version chain at the primary to find the version
@@ -415,8 +404,7 @@ impl Transaction {
         let store = self.engine.cluster().node(primary).old_versions();
         let mut cursor = ovp;
         while let Some(old_addr) = cursor {
-            self.meter_read(local, 64);
-            match store.resolve(old_addr) {
+            match self.one_sided_read(local, 64, || store.resolve(old_addr)) {
                 None => {
                     return Err(self.execution_abort(AbortReason::OldVersionUnavailable(addr)));
                 }

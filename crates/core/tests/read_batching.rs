@@ -1,16 +1,17 @@
 //! Integration tests of the batched, pipelined read path: `read_many`
 //! message counts scale with the number of destination primaries (not keys),
 //! the VALIDATE phase batches per primary exactly like LOCK, local-primary
-//! reads bypass the network, locked/tombstoned slots inside one batch fall
-//! back per slot, and batched reads stay snapshot-consistent under a
-//! concurrent committer.
+//! reads bypass the network, a lone remote `read` is one message paying one
+//! flight, locked/tombstoned slots inside one batch fall back per slot, and
+//! batched reads stay snapshot-consistent under a concurrent committer.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use farm_core::{AbortReason, Engine, EngineConfig, NodeId, ParallelQuery, TxError};
 use farm_kernel::ClusterConfig;
 use farm_memory::{Addr, LockOutcome, RegionId};
-use farm_net::Verb;
+use farm_net::{LatencyModel, Verb};
 use proptest::prelude::*;
 
 fn engine(config: EngineConfig) -> Arc<Engine> {
@@ -101,6 +102,45 @@ fn read_many_message_count_scales_with_primaries_not_keys() {
         "remote keys ride the batches"
     );
     assert_eq!(stats.read_local_bypass, 4, "local keys skip the network");
+    tx.commit().unwrap();
+    engine.shutdown();
+}
+
+#[test]
+fn a_single_remote_read_is_one_message_paying_one_flight() {
+    let latency = LatencyModel {
+        rdma_read_ns: 200_000,
+        ..LatencyModel::zero()
+    };
+    let engine = engine(EngineConfig {
+        latency,
+        ..EngineConfig::default()
+    });
+    let coordinator = NodeId(0);
+    let remote = alloc_in_region(&engine, region_with_primary(&engine, coordinator, false), 1)[0];
+    let local = alloc_in_region(&engine, region_with_primary(&engine, coordinator, true), 1)[0];
+
+    let node = engine.node(coordinator);
+    let mut tx = node.begin();
+    let net_before = node.handle().stats().snapshot();
+    let started = Instant::now();
+    assert_eq!(&tx.read(remote).unwrap()[..], &[0u8; 32][..]);
+    let elapsed = started.elapsed();
+    let net = node.handle().stats().snapshot().delta(&net_before);
+    assert!(
+        elapsed >= Duration::from_micros(200),
+        "read took {elapsed:?}"
+    );
+    assert_eq!(net.count(Verb::RdmaRead), 1, "one read message");
+    assert_eq!(net.ops(Verb::RdmaRead), 1, "carrying one read");
+
+    // The local primary's slot is a plain memory access: no message.
+    let net_before = node.handle().stats().snapshot();
+    let stats_before = node.stats();
+    assert_eq!(&tx.read(local).unwrap()[..], &[0u8; 32][..]);
+    let net = node.handle().stats().snapshot().delta(&net_before);
+    assert_eq!(net.count(Verb::RdmaRead), 0);
+    assert_eq!(node.stats().delta(&stats_before).read_local_bypass, 1);
     tx.commit().unwrap();
     engine.shutdown();
 }

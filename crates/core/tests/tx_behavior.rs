@@ -439,46 +439,6 @@ fn non_strict_transactions_still_serialize_writes() {
 }
 
 #[test]
-fn unsafe_skip_write_wait_removes_the_commit_time_wait() {
-    // Section 7.3 ablation: the correct protocol waits out the uncertainty
-    // while holding write locks; the deliberately-incorrect variant does not.
-    // With an uncertainty (±100 µs of thread skew) far above the CPU a
-    // commit spends between taking its write timestamp and replicating, the
-    // correct engine always has some left to wait out and records
-    // commit-time waits, the unsafe one records none — which is exactly the
-    // property the counterexample exploits (locks may be released while the
-    // write timestamp is still in the future).
-    let run = |skip: bool| {
-        let mut cluster_cfg = ClusterConfig::test(3);
-        cluster_cfg.clock.thread_skew_ns = 100_000;
-        let config = EngineConfig {
-            unsafe_skip_write_wait: skip,
-            ..EngineConfig::default()
-        };
-        let engine = Engine::start_cluster(cluster_cfg, config);
-        let node = engine.node(NodeId(1));
-        let mut setup = node.begin();
-        let addr = setup.alloc(vec![0u8]).unwrap();
-        setup.commit().unwrap();
-        for i in 0..50u8 {
-            let mut tx = node.begin();
-            tx.write(addr, vec![i]).unwrap();
-            tx.commit().unwrap();
-        }
-        let waits = engine.aggregate_stats().write_waits;
-        engine.shutdown();
-        waits
-    };
-    let unsafe_waits = run(true);
-    let safe_waits = run(false);
-    assert_eq!(unsafe_waits, 0, "the ablation must not wait at commit time");
-    assert!(
-        safe_waits > 0,
-        "the correct protocol must wait out uncertainty at commit time"
-    );
-}
-
-#[test]
 fn concurrent_counter_increments_from_all_nodes_are_serializable() {
     let engine = engine(EngineConfig::default());
     let node0 = engine.node(NodeId(0));

@@ -43,6 +43,15 @@ pub trait RecoveryHooks: Send + Sync {
 pub struct NoHooks;
 impl RecoveryHooks for NoHooks {}
 
+/// Largest per-node clock offset applied at startup (a deterministic
+/// spread), in nanoseconds.
+const MAX_CLOCK_OFFSET_NS: u64 = 1_000_000;
+
+/// Largest per-node drift magnitude applied at startup (a deterministic
+/// spread), in ppm. [`Cluster::start`] checks that it stays below the
+/// configured `clock.drift_bound_ppm`.
+const MAX_DRIFT_PPM: i32 = 100;
+
 /// Cluster-wide configuration knobs. The defaults are scaled-down versions of
 /// the paper's deployment parameters; benchmarks and tests override the
 /// knobs they need.
@@ -66,12 +75,6 @@ pub struct ClusterConfig {
     pub old_version_block_bytes: usize,
     /// Old-version memory budget per machine in bytes.
     pub old_version_max_bytes: usize,
-    /// Maximum per-node clock offset applied at startup (deterministic
-    /// spread), in nanoseconds.
-    pub max_clock_offset_ns: u64,
-    /// Maximum per-node drift magnitude applied at startup (deterministic
-    /// spread), in ppm. Must be below the drift bound in `clock`.
-    pub max_drift_ppm: i32,
     /// Pace of background re-replication: delay inserted between copying
     /// consecutive regions (the paper paces re-replication to protect
     /// foreground work).
@@ -93,8 +96,6 @@ impl Default for ClusterConfig {
             region: RegionConfig::default(),
             old_version_block_bytes: 64 * 1024,
             old_version_max_bytes: 64 * 1024 * 1024,
-            max_clock_offset_ns: 1_000_000,
-            max_drift_ppm: 100,
             rereplication_pace: Duration::from_millis(20),
             auto_control: true,
         }
@@ -159,7 +160,7 @@ impl Cluster {
     pub fn start(cfg: ClusterConfig) -> Arc<Cluster> {
         assert!(cfg.nodes >= 1);
         assert!(cfg.replication >= 1 && cfg.replication <= cfg.nodes);
-        assert!(cfg.max_drift_ppm >= 0 && (cfg.max_drift_ppm as u32) < cfg.clock.drift_bound_ppm);
+        assert!(MAX_DRIFT_PPM.unsigned_abs() < cfg.clock.drift_bound_ppm);
         let base: SharedClock = Arc::new(MonotonicClock::new());
         let node_ids: Vec<NodeId> = (0..cfg.nodes as u32).map(NodeId).collect();
         let faults = Arc::new(FaultPlane::new());
@@ -167,13 +168,8 @@ impl Cluster {
         for (i, &id) in node_ids.iter().enumerate() {
             // Deterministic spread of offsets and drift so different machines
             // really do have different clocks, without needing an RNG.
-            let offset = (i as u64 * 7_919) % (cfg.max_clock_offset_ns.max(1));
-            let drift = if cfg.max_drift_ppm == 0 {
-                0
-            } else {
-                let span = 2 * cfg.max_drift_ppm + 1;
-                ((i as i32 * 37) % span) - cfg.max_drift_ppm
-            };
+            let offset = (i as u64 * 7_919) % MAX_CLOCK_OFFSET_NS;
+            let drift = ((i as i32 * 37) % (2 * MAX_DRIFT_PPM + 1)) - MAX_DRIFT_PPM;
             let local: SharedClock = Arc::new(DriftClock::new(Arc::clone(&base), offset, drift));
             let clock = if i == 0 {
                 Arc::new(NodeClock::new_master(local, cfg.clock))

@@ -12,11 +12,11 @@
 //! per verb at issue time and blocks **once**, at the latest deadline — the
 //! completion-queue model used by [`crate::CompletionSet`], where a phase
 //! fanning out to K destinations pays `max(latency)` like a real coordinator
-//! waiting on its NIC completion queue. The one inline wait left is
-//! [`LatencyModel::apply_read`], paid by a lone un-batched read that has no
-//! sibling verb to overlap with.
+//! waiting on its NIC completion queue. A lone read pays the same way: the
+//! meter hands back its deadline and the reader waits after its access.
+//! [`LatencyModel::wait_until`] is the only wait there is.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::Verb;
 
@@ -82,48 +82,28 @@ impl LatencyModel {
         }
     }
 
-    /// Injects the read latency inline (a single un-batched read).
-    #[inline]
-    pub fn apply_read(&self) {
-        busy_wait(self.rdma_read_ns, self.spin_threshold_ns);
-    }
-
     /// Blocks until `deadline` has passed (no-op if it already has) — the
-    /// single per-phase wait of the deadline-based accounting model.
+    /// one wait of the deadline-based accounting model. What remains of
+    /// the wait is slept when it is at least the spin threshold and spun
+    /// otherwise, yielding periodically so co-scheduled waiters on small
+    /// hosts still run.
     pub fn wait_until(&self, deadline: Instant) {
-        loop {
-            let now = Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now) else {
-                return;
-            };
-            busy_wait(remaining.as_nanos() as u64, self.spin_threshold_ns);
-        }
-    }
-}
-
-/// Busy-waits for small durations (yielding periodically so co-scheduled
-/// waiters on small hosts still run), sleeps for durations at or above
-/// `spin_threshold_ns`, does nothing for 0.
-#[inline]
-fn busy_wait(ns: u64, spin_threshold_ns: u64) {
-    if ns == 0 {
-        return;
-    }
-    if ns >= spin_threshold_ns {
-        std::thread::sleep(Duration::from_nanos(ns));
-        return;
-    }
-    let start = Instant::now();
-    let mut spins = 0u32;
-    while (start.elapsed().as_nanos() as u64) < ns {
-        spins += 1;
-        if spins.is_multiple_of(256) {
-            // Let another simulated participant (worker thread, co-located
-            // coordinator) run; a dedicated core pays ~100 ns per yield,
-            // an oversubscribed one avoids a whole scheduling quantum.
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
+        let mut spins = 0u32;
+        while let Some(remaining) = deadline.checked_duration_since(Instant::now()) {
+            if remaining.as_nanos() as u64 >= self.spin_threshold_ns {
+                std::thread::sleep(remaining);
+                continue;
+            }
+            spins += 1;
+            if spins.is_multiple_of(256) {
+                // Let another simulated participant (worker thread,
+                // co-located coordinator) run; a dedicated core pays
+                // ~100 ns per yield, an oversubscribed one avoids a whole
+                // scheduling quantum.
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
         }
     }
 }
@@ -131,15 +111,17 @@ fn busy_wait(ns: u64, spin_threshold_ns: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn zero_model_is_free() {
         let m = LatencyModel::zero();
-        let start = std::time::Instant::now();
+        let start = Instant::now();
+        let deadline = start + Duration::from_nanos(m.rdma_read_ns);
         for _ in 0..30_000 {
-            m.apply_read();
+            m.wait_until(deadline);
         }
-        // 30k no-op applications should take well under 10 ms.
+        // 30k waits on a deadline already reached take well under 10 ms.
         assert!(start.elapsed() < Duration::from_millis(10));
     }
 
@@ -149,9 +131,9 @@ mod tests {
             rdma_read_ns: 200_000,
             ..Default::default()
         };
-        let start = std::time::Instant::now();
-        m.apply_read();
-        assert!(start.elapsed() >= Duration::from_micros(150));
+        let start = Instant::now();
+        m.wait_until(start + Duration::from_nanos(m.rdma_read_ns));
+        assert!(start.elapsed() >= Duration::from_micros(200));
     }
 
     #[test]
@@ -188,7 +170,7 @@ mod tests {
             ..Default::default()
         };
         let start = Instant::now();
-        m.apply_read();
+        m.wait_until(start + Duration::from_nanos(m.rdma_read_ns));
         assert!(start.elapsed() >= Duration::from_micros(50));
     }
 }

@@ -11,10 +11,12 @@
 //!   via `Arc`), mirroring the fact that an RDMA NIC bypasses the remote CPU.
 //!   The [`OneSidedMeter`] accounts for every such message so that counts and
 //!   bytes match what the real protocol would put on the network.
-//! * Flight time is owned by the [`CompletionSet`] that carries a phase's
-//!   verbs: each gets a completion deadline from the [`LatencyModel`] at
-//!   issue time and the coordinator waits once, at the latest one, like a
-//!   real coordinator polling its NIC completion queue.
+//! * Flight time is a completion deadline taken from the [`LatencyModel`]
+//!   at issue time. A [`CompletionSet`] carries a phase's verbs and the
+//!   coordinator waits once, at the latest deadline, like a real
+//!   coordinator polling its NIC completion queue; a lone read's deadline
+//!   comes back from [`OneSidedMeter::read`]. Every wait is
+//!   [`LatencyModel::wait_until`].
 //! * A [`FaultPlane`] supports killing machines and partitioning the network,
 //!   which the kernel's failure detector and reconfiguration protocol react
 //!   to.
@@ -35,6 +37,7 @@ pub use stats::{
 };
 
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// Identifier of a simulated machine in the cluster.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -70,11 +73,10 @@ impl From<u32> for NodeId {
 /// served by the "NIC", two-sided RPCs) so that message counts and bytes
 /// match what the real protocol would put on the network.
 ///
-/// The `*_deferred` verbs record a message without injecting any latency: the
-/// verb's flight time is owned by the [`CompletionSet`] that carries it (one
-/// deadline wait per phase, however many messages the phase fans out). Only
-/// [`OneSidedMeter::read`] — a lone un-batched read with nothing to overlap —
-/// pays its latency inline.
+/// The meter never waits. The `*_deferred` verbs record a message whose
+/// flight time is owned by the [`CompletionSet`] that carries it (one
+/// deadline wait per phase, however many messages the phase fans out);
+/// [`OneSidedMeter::read`] hands a lone read's deadline back to its caller.
 pub struct OneSidedMeter {
     stats: std::sync::Arc<NetStats>,
     latency: LatencyModel,
@@ -86,12 +88,19 @@ impl OneSidedMeter {
         OneSidedMeter { stats, latency }
     }
 
-    /// Accounts for a one-sided RDMA read of `bytes` bytes and injects the
-    /// configured read latency.
+    /// Accounts for a one-sided RDMA read of `bytes` bytes issued now and
+    /// returns its completion deadline (issue time + the read latency), for
+    /// the caller to [`LatencyModel::wait_until`] once it has done the
+    /// destination-side access. `None`, with no clock read, under a zero
+    /// read latency.
     #[inline]
-    pub fn read(&self, bytes: usize) {
+    #[must_use = "the read's flight is paid by waiting until the deadline"]
+    pub fn read(&self, bytes: usize) -> Option<Instant> {
         self.stats.record(Verb::RdmaRead, bytes);
-        self.latency.apply_read();
+        match self.latency.rdma_read_ns {
+            0 => None,
+            ns => Some(Instant::now() + Duration::from_nanos(ns)),
+        }
     }
 
     /// Accounts for the hardware acknowledgement of a previously issued RDMA
@@ -156,8 +165,8 @@ mod tests {
     fn one_sided_meter_counts_verbs() {
         let stats = Arc::new(NetStats::default());
         let meter = OneSidedMeter::new(stats.clone(), LatencyModel::zero());
-        meter.read(64);
-        meter.read(128);
+        assert_eq!(meter.read(64), None, "a zero model has no deadline");
+        let _ = meter.read(128);
         meter.ack();
         let snap = stats.snapshot();
         assert_eq!(snap.count(Verb::RdmaRead), 2);
