@@ -83,11 +83,6 @@ impl DriftClock {
     pub fn drift_ppm(&self) -> i32 {
         self.drift_ppm
     }
-
-    /// The configured offset in nanoseconds.
-    pub fn offset_ns(&self) -> u64 {
-        self.offset_ns
-    }
 }
 
 impl Clock for DriftClock {

@@ -21,30 +21,13 @@ use crate::opts::{EngineConfig, TxOptions};
 use crate::stats::{EngineStats, EngineStatsSnapshot};
 use crate::tx::{CommitInfo, Transaction};
 
-/// Bounded exponential backoff for [`NodeEngine::run_transaction`]: how many
-/// commit attempts to make and how long to sleep between them. The defaults
-/// (64 attempts, 50 µs doubling to a 5 ms cap) ride out both ordinary
-/// conflicts and a full lease-expiry + reconfiguration window, so a machine
-/// failure shows up to the application as latency rather than an error.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Maximum commit attempts before the last error surfaces to the caller.
-    pub max_attempts: u32,
-    /// Sleep after the first absorbed retry; doubles on each further retry.
-    pub base_backoff: Duration,
-    /// Cap on the per-retry sleep (the doubling stops here).
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 64,
-            base_backoff: Duration::from_micros(50),
-            max_backoff: Duration::from_millis(5),
-        }
-    }
-}
+// `NodeEngine::run_transaction`'s bounded exponential backoff. It rides out
+// both ordinary conflicts and a full lease-expiry + reconfiguration window,
+// so a machine failure shows up to the application as latency rather than
+// an error.
+const RETRY_MAX_ATTEMPTS: u32 = 64;
+const RETRY_BASE_BACKOFF: Duration = Duration::from_micros(50);
+const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(5);
 
 /// The per-machine transaction engine. Application threads whose home is this
 /// machine obtain transactions here; the thread then acts as the coordinator
@@ -151,10 +134,11 @@ impl NodeEngine {
 
     /// Runs `body` in a transaction, transparently retrying retryable aborts
     /// (conflicts *and* availability errors — a dead primary, a region
-    /// draining for reconfiguration) with the default [`RetryPolicy`]'s
-    /// bounded exponential backoff. Machine failures surface to the caller
-    /// only as latency: the loop outlasts lease expiry plus reconfiguration,
-    /// by which time a promoted backup serves the affected regions again.
+    /// draining for reconfiguration) with bounded exponential backoff (64
+    /// attempts, 50 µs doubling to 5 ms). Machine failures surface to the
+    /// caller only as latency: the loop outlasts lease expiry plus
+    /// reconfiguration, by which time a promoted backup serves the affected
+    /// regions again.
     ///
     /// `body` must be idempotent up to the transaction (it may run several
     /// times, each against a fresh snapshot). Returns the body's value and
@@ -162,19 +146,9 @@ impl NodeEngine {
     pub fn run_transaction<T>(
         self: &Arc<Self>,
         opts: TxOptions,
-        body: impl FnMut(&mut Transaction) -> Result<T, TxError>,
-    ) -> Result<(T, CommitInfo), TxError> {
-        self.run_transaction_with(RetryPolicy::default(), opts, body)
-    }
-
-    /// [`NodeEngine::run_transaction`] with an explicit retry policy.
-    pub fn run_transaction_with<T>(
-        self: &Arc<Self>,
-        policy: RetryPolicy,
-        opts: TxOptions,
         mut body: impl FnMut(&mut Transaction) -> Result<T, TxError>,
     ) -> Result<(T, CommitInfo), TxError> {
-        let mut backoff = policy.base_backoff;
+        let mut backoff = RETRY_BASE_BACKOFF;
         let mut attempt = 0u32;
         loop {
             attempt += 1;
@@ -189,12 +163,10 @@ impl NodeEngine {
             };
             match result {
                 Ok(out) => return Ok(out),
-                Err(e) if e.is_retryable() && attempt < policy.max_attempts => {
+                Err(e) if e.is_retryable() && attempt < RETRY_MAX_ATTEMPTS => {
                     EngineStats::bump(&self.stats.retries_absorbed);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    backoff = (backoff * 2).min(policy.max_backoff);
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(RETRY_MAX_BACKOFF);
                 }
                 Err(e) => return Err(e),
             }

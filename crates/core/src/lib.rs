@@ -48,7 +48,7 @@ pub mod tx;
 
 pub use active::{ActiveToken, ActiveTxTable};
 pub use commit::{CommitDriver, CommitPhase, CommitPipeline, PipelineTimings};
-pub use engine::{Engine, NodeEngine, RetryPolicy};
+pub use engine::{Engine, NodeEngine};
 pub use error::{AbortReason, TxError};
 pub use opts::{EngineConfig, IsolationLevel, MvPolicy, TxOptions};
 pub use readonly::ParallelQuery;

@@ -77,11 +77,6 @@ impl ParallelQuery {
         self.read_ts
     }
 
-    /// The master's node.
-    pub fn master_node(&self) -> NodeId {
-        self.master_node
-    }
-
     /// Starts a slave transaction on `node` reading at the master's snapshot.
     pub fn slave_on(&self, node: NodeId) -> Result<Transaction, TxError> {
         self.engine.node(node).begin_stale_readonly(self.read_ts)

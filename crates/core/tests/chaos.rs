@@ -21,7 +21,7 @@
 //!   stays at or below its local oldest-active-transaction bound.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -550,6 +550,7 @@ fn commit_racing_kill_keeps_liveness_atomic() {
     engine.quiesce();
 
     let stop = Arc::new(AtomicBool::new(false));
+    let commits = Arc::new(AtomicU64::new(0));
     std::thread::scope(|scope| {
         // The invariant observer: races every commit and the kill itself.
         let observer = {
@@ -570,13 +571,14 @@ fn commit_racing_kill_keeps_liveness_atomic() {
             })
         };
         // The committer: hammers writes at the victim's region; every commit
-        // must either succeed or abort cleanly, never wedge or panic.
+        // must either succeed or abort cleanly, never wedge or panic. It
+        // publishes its commit count so the kill can wait for the first one.
         let committer = {
             let node = Arc::clone(&committer_node);
             let stop = Arc::clone(&stop);
+            let commits = Arc::clone(&commits);
             scope.spawn(move || {
                 let mut i = 0u64;
-                let mut committed = 0u64;
                 while !stop.load(Ordering::Acquire) {
                     i += 1;
                     let mut tx = node.begin();
@@ -584,20 +586,31 @@ fn commit_racing_kill_keeps_liveness_atomic() {
                         continue;
                     }
                     match tx.commit() {
-                        Ok(_) => committed += 1,
+                        Ok(_) => {
+                            commits.fetch_add(1, Ordering::Release);
+                        }
                         Err(TxError::Aborted(_)) => {}
                         Err(e) => panic!("commit racing kill returned {e:?}"),
                     }
                 }
-                committed
             })
         };
-        std::thread::sleep(Duration::from_millis(2));
+        // Kill only after the first commit: on a loaded host the committer
+        // may not have been scheduled at all after a fixed sleep.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while commits.load(Ordering::Acquire) == 0 && !committer.is_finished() {
+            if Instant::now() >= deadline {
+                stop.store(true, Ordering::Release);
+                panic!("the committer made no commit within 10 s, so the kill would race nothing");
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
         engine.cluster().kill(victim);
         std::thread::sleep(Duration::from_millis(2));
         stop.store(true, Ordering::Release);
-        let committed = committer.join().expect("committer panicked");
+        committer.join().expect("committer panicked");
         observer.join().expect("liveness invariant violated");
+        let committed = commits.load(Ordering::Acquire);
         assert!(committed > 0, "no commit ever succeeded before the kill");
     });
     assert!(!engine.cluster().node(victim).is_alive());

@@ -50,11 +50,6 @@ impl HashTable {
         })
     }
 
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     fn bucket_of(&self, key: &[u8]) -> Addr {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);

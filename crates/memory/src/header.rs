@@ -220,12 +220,6 @@ impl ObjectHeader {
             .store(ovp.map(OldAddr::pack).unwrap_or(NO_OVP), Ordering::Release);
     }
 
-    /// Whether the header is currently locked.
-    #[inline]
-    pub fn is_locked(&self) -> bool {
-        self.word0.load(Ordering::Acquire) & LOCK_BIT != 0
-    }
-
     /// Current timestamp (only meaningful for allocated slots).
     #[inline]
     pub fn ts(&self) -> u64 {

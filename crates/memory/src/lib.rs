@@ -49,7 +49,7 @@ pub mod slab;
 pub use addr::{Addr, BlockId, OldAddr, RegionId};
 pub use header::{HeaderSnapshot, ObjectHeader};
 pub use object::{ConsistentRead, InstallOutcome, LockOutcome, ObjectSlot};
-pub use oldver::{OldVersion, OldVersionStore, ThreadOldAllocator};
+pub use oldver::{OldVersion, OldVersionStore};
 pub use region::{BatchLockFailure, Region, RegionConfig, RegionStore, LOCK_ANY_VERSION};
 pub use slab::{Slab, SlabError, SlotRef};
 

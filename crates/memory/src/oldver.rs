@@ -89,8 +89,7 @@ const CURSOR_SHARDS: usize = 64;
 
 /// Per-machine old-version storage shared by all threads. Threads allocate
 /// through per-thread cursor shards ([`OldVersionStore::allocate_local`], the
-/// primary-side LOCK path) or through an explicitly owned
-/// [`ThreadOldAllocator`].
+/// primary-side LOCK path).
 pub struct OldVersionStore {
     block_bytes: usize,
     max_bytes: usize,
@@ -204,7 +203,7 @@ impl OldVersionStore {
         freed
     }
 
-    /// Acquires a block for a thread allocator: reuses a free block if one is
+    /// Acquires a block for a cursor shard: reuses a free block if one is
     /// available, otherwise creates a new block if the budget allows.
     fn acquire_block(&self) -> Result<BlockId, OldVersionError> {
         if let Some(id) = self.free_blocks.lock().pop() {
@@ -238,19 +237,11 @@ impl OldVersionStore {
     /// the primary-side LOCK-processing path. The shard mutex is private to
     /// (almost always) one thread, so the common case is an uncontended lock
     /// plus a bump allocation; no store-global lock is taken.
+    ///
+    /// `version` is bump-allocated out of the shard's active block; a full
+    /// block is sealed and a fresh one acquired.
     pub fn allocate_local(&self, version: OldVersion) -> Result<OldAddr, OldVersionError> {
         let mut cursor = self.cursors[crate::thread_ordinal() % CURSOR_SHARDS].lock();
-        self.allocate_with_cursor(&mut cursor, version)
-    }
-
-    /// Bump-allocates `version` out of `cursor`'s active block, sealing full
-    /// blocks and acquiring fresh ones as needed. Shared by the per-thread
-    /// shard path and [`ThreadOldAllocator`].
-    fn allocate_with_cursor(
-        &self,
-        cursor: &mut Option<BlockId>,
-        version: OldVersion,
-    ) -> Result<OldAddr, OldVersionError> {
         let bytes = entry_bytes(&version);
         loop {
             let block_id = match *cursor {
@@ -305,50 +296,6 @@ impl std::fmt::Debug for OldVersionStore {
     }
 }
 
-/// A thread's handle for allocating old versions: keeps the thread's
-/// currently-active block so the common case is a thread-local bump
-/// allocation (one comparison and one addition, as in the paper).
-pub struct ThreadOldAllocator {
-    store: Arc<OldVersionStore>,
-    current: Option<BlockId>,
-}
-
-impl ThreadOldAllocator {
-    /// Creates an allocator drawing blocks from `store`.
-    pub fn new(store: Arc<OldVersionStore>) -> Self {
-        ThreadOldAllocator {
-            store,
-            current: None,
-        }
-    }
-
-    /// The shared store this allocator draws from.
-    pub fn store(&self) -> &Arc<OldVersionStore> {
-        &self.store
-    }
-
-    /// Allocates an old version, returning its address. Fails with
-    /// [`OldVersionError::OutOfMemory`] when the old-version budget is
-    /// exhausted and no block can be reclaimed.
-    pub fn allocate(&mut self, version: OldVersion) -> Result<OldAddr, OldVersionError> {
-        self.store.allocate_with_cursor(&mut self.current, version)
-    }
-
-    /// Detaches from the current block so it becomes eligible for GC (e.g.
-    /// at the end of a benchmark phase or when the thread goes idle).
-    pub fn detach(&mut self) {
-        if let Some(b) = self.current.take() {
-            self.store.release_block(b);
-        }
-    }
-}
-
-impl Drop for ThreadOldAllocator {
-    fn drop(&mut self) {
-        self.detach();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,9 +310,8 @@ mod tests {
 
     #[test]
     fn allocate_and_resolve() {
-        let store = Arc::new(OldVersionStore::small());
-        let mut alloc = ThreadOldAllocator::new(Arc::clone(&store));
-        let addr = alloc.allocate(ver(5, 100)).unwrap();
+        let store = OldVersionStore::small();
+        let addr = store.allocate_local(ver(5, 100)).unwrap();
         let got = store.resolve(addr).unwrap();
         assert_eq!(got.ts, 5);
         assert_eq!(got.data.len(), 100);
@@ -373,8 +319,7 @@ mod tests {
 
     #[test]
     fn chains_across_blocks() {
-        let store = Arc::new(OldVersionStore::new(256, 16 * 1024));
-        let mut alloc = ThreadOldAllocator::new(Arc::clone(&store));
+        let store = OldVersionStore::new(256, 16 * 1024);
         let mut prev: Option<OldAddr> = None;
         let mut addrs = Vec::new();
         for ts in 1..=20u64 {
@@ -383,7 +328,7 @@ mod tests {
                 ovp: prev,
                 data: Bytes::from(vec![0u8; 100]),
             };
-            let a = alloc.allocate(v).unwrap();
+            let a = store.allocate_local(v).unwrap();
             prev = Some(a);
             addrs.push(a);
         }
@@ -402,11 +347,10 @@ mod tests {
 
     #[test]
     fn out_of_memory_when_budget_exhausted() {
-        let store = Arc::new(OldVersionStore::new(256, 512));
-        let mut alloc = ThreadOldAllocator::new(Arc::clone(&store));
+        let store = OldVersionStore::new(256, 512);
         let mut failures = 0;
         for ts in 0..100u64 {
-            if alloc.allocate(ver(ts, 100)).is_err() {
+            if store.allocate_local(ver(ts, 100)).is_err() {
                 failures += 1;
             }
         }
@@ -415,15 +359,14 @@ mod tests {
 
     #[test]
     fn gc_reclaims_blocks_below_safe_point() {
-        let store = Arc::new(OldVersionStore::new(256, 4096));
-        let mut alloc = ThreadOldAllocator::new(Arc::clone(&store));
+        let store = OldVersionStore::new(256, 4096);
         let mut addrs = Vec::new();
         for ts in 1..=10u64 {
-            let a = alloc.allocate(ver(ts, 100)).unwrap();
+            let a = store.allocate_local(ver(ts, 100)).unwrap();
             store.set_gc_time(a, ts);
             addrs.push(a);
         }
-        alloc.detach();
+        store.detach_cursors();
         // Safe point above every gc time: everything is reclaimed.
         let freed = store.collect(100);
         assert!(freed > 0);
@@ -432,22 +375,20 @@ mod tests {
         // And the memory is reused rather than re-created.
         let (_created_before, recycled) = store.block_counters();
         assert!(recycled > 0);
-        let mut alloc2 = ThreadOldAllocator::new(Arc::clone(&store));
-        let a = alloc2.allocate(ver(50, 100)).unwrap();
+        let a = store.allocate_local(ver(50, 100)).unwrap();
         assert!(store.resolve(a).is_some());
     }
 
     #[test]
     fn gc_skips_active_blocks_and_recent_versions() {
-        let store = Arc::new(OldVersionStore::new(1024, 8192));
-        let mut alloc = ThreadOldAllocator::new(Arc::clone(&store));
-        let a = alloc.allocate(ver(10, 100)).unwrap();
+        let store = OldVersionStore::new(1024, 8192);
+        let a = store.allocate_local(ver(10, 100)).unwrap();
         store.set_gc_time(a, 10);
-        // Block is still the thread's active block: not collected even though
-        // its GC time is below the safe point.
+        // Block is still the cursor's active block until `detach_cursors`:
+        // not collected even though its GC time is below the safe point.
         assert_eq!(store.collect(100), 0);
         assert!(store.resolve(a).is_some());
-        alloc.detach();
+        store.detach_cursors();
         // Safe point below the GC time: still not collected.
         assert_eq!(store.collect(5), 0);
         assert!(store.resolve(a).is_some());
@@ -458,12 +399,11 @@ mod tests {
 
     #[test]
     fn aborted_versions_have_zero_gc_time_and_are_collected_immediately() {
-        let store = Arc::new(OldVersionStore::new(1024, 8192));
-        let mut alloc = ThreadOldAllocator::new(Arc::clone(&store));
-        let _a = alloc.allocate(ver(99, 100)).unwrap();
+        let store = OldVersionStore::new(1024, 8192);
+        let _a = store.allocate_local(ver(99, 100)).unwrap();
         // The allocating transaction aborted: set_gc_time is never called, so
         // the block's GC time stays 0 and any positive safe point reclaims it.
-        alloc.detach();
+        store.detach_cursors();
         assert_eq!(store.collect(1), 1);
     }
 
@@ -503,14 +443,12 @@ mod tests {
 
     #[test]
     fn stale_generation_does_not_resolve_after_reuse() {
-        let store = Arc::new(OldVersionStore::new(256, 256));
-        let mut alloc = ThreadOldAllocator::new(Arc::clone(&store));
-        let a = alloc.allocate(ver(1, 50)).unwrap();
-        alloc.detach();
+        let store = OldVersionStore::new(256, 256);
+        let a = store.allocate_local(ver(1, 50)).unwrap();
+        store.detach_cursors();
         assert_eq!(store.collect(10), 1);
         // Reuse the same block for a new version.
-        let mut alloc2 = ThreadOldAllocator::new(Arc::clone(&store));
-        let b = alloc2.allocate(ver(2, 50)).unwrap();
+        let b = store.allocate_local(ver(2, 50)).unwrap();
         assert_eq!(a.block, b.block, "block should have been recycled");
         assert_ne!(a.generation, b.generation);
         assert!(store.resolve(a).is_none(), "stale address must not resolve");

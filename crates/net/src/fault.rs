@@ -49,12 +49,6 @@ impl FaultPlane {
         st.killed.insert(node);
     }
 
-    /// Restarts a crashed node (it rejoins with empty state; the kernel
-    /// treats it as a brand-new member).
-    pub fn revive(&self, node: NodeId) {
-        self.inner.write().killed.remove(&node);
-    }
-
     /// Whether the node is currently crashed.
     pub fn is_killed(&self, node: NodeId) -> bool {
         self.inner.read().killed.contains(&node)
@@ -82,13 +76,6 @@ impl FaultPlane {
             Some(groups) => group_of(groups, from) == group_of(groups, to),
         }
     }
-
-    /// The set of currently killed nodes.
-    pub fn killed_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<_> = self.inner.read().killed.iter().copied().collect();
-        v.sort();
-        v
-    }
 }
 
 fn group_of(groups: &[(NodeId, u32)], node: NodeId) -> u32 {
@@ -108,7 +95,8 @@ mod tests {
         let f = FaultPlane::new();
         assert!(f.reachable(NodeId(0), NodeId(1)));
         assert!(f.reachable(NodeId(1), NodeId(0)));
-        assert!(f.killed_nodes().is_empty());
+        assert!(!f.is_killed(NodeId(0)));
+        assert!(!f.is_killed(NodeId(1)));
     }
 
     #[test]
@@ -119,8 +107,6 @@ mod tests {
         assert!(!f.reachable(NodeId(0), NodeId(2)));
         assert!(!f.reachable(NodeId(2), NodeId(0)));
         assert!(f.reachable(NodeId(0), NodeId(1)));
-        f.revive(NodeId(2));
-        assert!(f.reachable(NodeId(0), NodeId(2)));
     }
 
     #[test]
@@ -191,8 +177,6 @@ mod tests {
         f.heal();
         assert!(!f.reachable(NodeId(0), NodeId(1)));
         assert!(f.is_killed(NodeId(1)));
-        f.revive(NodeId(1));
-        assert!(f.reachable(NodeId(0), NodeId(1)));
     }
 
     #[test]
@@ -203,13 +187,5 @@ mod tests {
         f.kill_with(NodeId(1), || flag.store(true, Ordering::Release));
         assert!(f.is_killed(NodeId(1)));
         assert!(flag.load(Ordering::Acquire));
-    }
-
-    #[test]
-    fn killed_nodes_are_sorted() {
-        let f = FaultPlane::new();
-        f.kill(NodeId(3));
-        f.kill(NodeId(1));
-        assert_eq!(f.killed_nodes(), vec![NodeId(1), NodeId(3)]);
     }
 }
