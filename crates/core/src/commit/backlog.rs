@@ -7,8 +7,9 @@
 //! This module holds that background state for the whole cluster:
 //!
 //! * **Pending installs** ([`PendingInstall`]): the held locks and plan of an
-//!   early-acked transaction, split per destination primary. Each
-//!   destination is *claimable* exactly once (an atomic flag), so the
+//!   early-acked transaction, split per destination primary by the plan's
+//!   destination table. Each destination is *claimable* exactly once (an
+//!   atomic flag in its table row), so the
 //!   committing engine's opportunistic drain and any number of helping
 //!   readers race safely: whoever claims a destination applies its installs
 //!   in ascending address order and unlocks. An address-level index lets a
@@ -36,7 +37,7 @@
 //!   are never lost.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -131,27 +132,20 @@ pub(crate) struct LogEntry {
     pub intents: Vec<RecordIntent>,
 }
 
-/// The per-destination share of a pending install, claimable exactly once.
-struct DestInstall {
-    /// The destination primary.
-    primary: NodeId,
-    /// Indices into the owning [`PendingInstall`]'s `locked` vector, in
-    /// ascending global address order (the acquisition order).
-    lock_idxs: Vec<usize>,
-    /// Set by the first thread that processes this destination.
-    claimed: AtomicBool,
-}
-
 /// A durably committed transaction whose COMMIT-PRIMARY installs have not
 /// all landed yet (stage 2 of the commit lifecycle). Holds the plan and the
 /// locks; dropped once every destination has been claimed and processed.
+///
+/// Its destinations are the rows of the plan's destination table that took
+/// locks; each is claimable exactly once (the row's `install_claimed`).
 pub(crate) struct PendingInstall {
     coordinator: NodeId,
     write_ts: u64,
     multi_version: bool,
     plan: CommitPlan,
+    /// The held locks, ascending by global address — hence by group.
     locked: Vec<HeldLock>,
-    dests: Vec<DestInstall>,
+    /// Destinations not yet processed.
     remaining: AtomicUsize,
 }
 
@@ -165,30 +159,20 @@ impl PendingInstall {
         plan: CommitPlan,
         locked: Vec<HeldLock>,
     ) -> PendingInstall {
-        // Linear per-destination grouping: destination counts are bounded by
-        // the cluster size and this runs on every early-acked commit.
-        let mut dests: Vec<DestInstall> = Vec::new();
-        for (li, held) in locked.iter().enumerate() {
-            let primary = plan.groups[held.group].primary;
-            match dests.iter_mut().find(|d| d.primary == primary) {
-                Some(dest) => dest.lock_idxs.push(li),
-                None => dests.push(DestInstall {
-                    primary,
-                    lock_idxs: vec![li],
-                    claimed: AtomicBool::new(false),
-                }),
-            }
-        }
-        let remaining = AtomicUsize::new(dests.len());
+        let remaining = AtomicUsize::new(Self::dests(&plan).count());
         PendingInstall {
             coordinator,
             write_ts,
             multi_version,
             plan,
             locked,
-            dests,
             remaining,
         }
+    }
+
+    /// The indices of the destination rows that hold locks to install.
+    fn dests(plan: &CommitPlan) -> impl Iterator<Item = usize> + '_ {
+        (0..plan.dest_table().len()).filter(|&di| plan.dest_table()[di].lock_ops > 0)
     }
 
     /// The coordinator that committed this transaction.
@@ -203,12 +187,29 @@ impl PendingInstall {
 
     /// Number of destination primaries still referenced by this install.
     pub(crate) fn dest_count(&self) -> usize {
-        self.dests.len()
+        Self::dests(&self.plan).count()
     }
 
-    fn addr_of(&self, li: usize) -> Addr {
-        let held = &self.locked[li];
-        self.plan.groups[held.group].intents[held.intent].addr
+    /// The held locks of destination `di`, group by group, ascending.
+    fn locks_of(&self, di: usize) -> impl Iterator<Item = &HeldLock> + '_ {
+        let dest = &self.plan.dest_table()[di];
+        self.plan.primary_groups(dest).iter().flat_map(move |&gi| {
+            let start = self.locked.partition_point(|h| h.group < gi);
+            let end = self.locked.partition_point(|h| h.group <= gi);
+            &self.locked[start..end]
+        })
+    }
+
+    fn addr_of(&self, held: &HeldLock) -> Addr {
+        self.plan.intents()[held.intent].addr
+    }
+
+    /// Claims and processes every destination not already claimed; returns
+    /// how many this call processed.
+    pub(crate) fn install_all(&self, engine: &NodeEngine, backlog: &Backlog) -> usize {
+        Self::dests(&self.plan)
+            .filter(|&di| self.install_dest(engine, backlog, di))
+            .count()
     }
 
     /// Claims and processes destination `di`: applies its installs in
@@ -218,23 +219,17 @@ impl PendingInstall {
     /// coordinator's truncation watermark. Returns whether *this* call did
     /// the work (false when another thread already claimed it).
     pub(crate) fn install_dest(&self, engine: &NodeEngine, backlog: &Backlog, di: usize) -> bool {
-        let dest = &self.dests[di];
-        if dest.claimed.swap(true, Ordering::AcqRel) {
+        let dest = &self.plan.dest_table()[di];
+        if dest.install_claimed.swap(true, Ordering::AcqRel) {
             return false;
         }
         let started = Instant::now();
-        let alive = engine.cluster().node(dest.primary).is_alive();
-        for &li in &dest.lock_idxs {
+        let alive = engine.cluster().node(dest.node).is_alive();
+        for held in self.locks_of(di) {
             if alive {
-                install_held_lock(
-                    engine,
-                    &self.plan,
-                    &self.locked[li],
-                    self.write_ts,
-                    self.multi_version,
-                );
+                install_held_lock(engine, &self.plan, held, self.write_ts, self.multi_version);
             }
-            backlog.index_remove(self.addr_of(li));
+            backlog.index_remove(self.addr_of(held));
         }
         EngineStats::bump(&engine.stats.installs_background);
         engine.meter.stats().phases().record(
@@ -325,9 +320,9 @@ impl Backlog {
     /// early ack is reported, so any reader that observes the still-held
     /// locks can already find the entry).
     pub(crate) fn index_insert(&self, pi: &Arc<PendingInstall>) {
-        for (di, dest) in pi.dests.iter().enumerate() {
-            for &li in &dest.lock_idxs {
-                let addr = pi.addr_of(li);
+        for di in PendingInstall::dests(&pi.plan) {
+            for held in pi.locks_of(di) {
+                let addr = pi.addr_of(held);
                 self.index[Self::shard_of(addr)]
                     .lock()
                     .insert(addr, (Arc::clone(pi), di));
@@ -603,7 +598,8 @@ mod tests {
             .get(&addr)
             .cloned()
             .expect("install pending");
-        install.dests[di].claimed.store(true, Ordering::Release);
+        let claimed = &install.plan.dest_table()[di].install_claimed;
+        claimed.store(true, Ordering::Release);
         let claimer = {
             let (first, second) = (Arc::clone(&first), Arc::clone(&second));
             std::thread::spawn(move || {
@@ -614,7 +610,8 @@ mod tests {
                     std::thread::yield_now();
                 }
                 std::thread::sleep(Duration::from_micros(200));
-                install.dests[di].claimed.store(false, Ordering::Release);
+                let claimed = &install.plan.dest_table()[di].install_claimed;
+                claimed.store(false, Ordering::Release);
                 assert!(install.install_dest(&first, first.backlog(), di));
             })
         };

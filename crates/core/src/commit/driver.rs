@@ -52,23 +52,31 @@
 //! `Lock → ReplicateBackups` (acquiring the write timestamp in flight).
 //!
 //! Every phase that talks to other machines sends **one metered message per
-//! destination** (see [`super::plan::CommitPlan`]), and all of a phase's
-//! messages are issued before any completion is awaited: the phase costs
-//! the *maximum* destination latency, not the sum, and the destination-side
-//! work (lock acquisition, old-version copies, validation reads) runs inside
-//! the verbs' work closures. Any failure routes through the single `unwind`
-//! step — the completion set always drains every in-flight sibling first,
-//! so unwind sees the locks of *every* destination,
-//! releases them in descending global address order, and rolls back
-//! allocations.
+//! destination** (one row of the commit plan's destination table), and all
+//! of a phase's messages are issued before any completion is awaited: the
+//! phase costs the *maximum* destination latency, not the sum, and the
+//! destination-side work (lock acquisition, old-version copies, validation
+//! reads) runs inside the verbs' work closures, at issue. Any failure routes
+//! through the single `unwind` step — every issued verb has executed by
+//! then, so unwind sees the locks of *every* destination, releases them in
+//! descending global address order, and rolls back allocations.
+//!
+//! # The configuration fence
+//!
+//! The plan records the cluster's configuration epoch before it resolves
+//! routing. A reconfiguration can kill a primary that holds this commit's
+//! locks, or promote a backup after it replayed the redo logs, so a commit
+//! planned under one epoch is never decided under the next: once the LOCK
+//! phase has run, and again when `Validate` and `ReplicateBackups` finish,
+//! a moved epoch aborts it with a retryable `Reconfiguring`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use farm_clock::TsMode;
-use farm_memory::{Addr, LockOutcome, OldAddr, OldVersion, SlotRef};
-use farm_net::{Completion, CompletionSet, DispatchMode, NodeId, PhaseLabel, Verb};
+use farm_memory::{Addr, LockOutcome, OldAddr, OldVersion, Region, SlotRef};
+use farm_net::{CompletionSet, DispatchMode, NodeId, PhaseLabel, Verb};
 
 use crate::active::ActiveToken;
 use crate::engine::NodeEngine;
@@ -78,7 +86,7 @@ use crate::stats::EngineStats;
 use crate::tx::CommitInfo;
 
 use super::backlog::{Help, LockBackoff, LogEntry, PendingInstall, RecordIntent};
-use super::plan::{CommitPlan, IntentKind};
+use super::plan::{CommitPlan, Destination, IntentKind};
 use super::unwind::unwind;
 
 /// The phases of the commit state machine. Public so tests and tooling can
@@ -116,7 +124,7 @@ fn phase_label(phase: CommitPhase) -> PhaseLabel {
 pub(crate) struct HeldLock {
     /// Index of the owning group in the plan.
     pub group: usize,
-    /// Index of the intent within the group.
+    /// Index of the intent in the plan's intents (ascending by address).
     pub intent: usize,
     /// The locked slot (cached so install does not re-resolve).
     pub slot: SlotRef,
@@ -128,13 +136,8 @@ pub(crate) struct HeldLock {
     pub truncated: bool,
 }
 
-/// What one destination's LOCK verb produced: the locks it acquired (kept
-/// even on failure, so the coordinator can unwind them) and the first
-/// failure, if any.
-struct DestLockOutcome {
-    locks: Vec<HeldLock>,
-    failure: Option<(Addr, AbortReason)>,
-}
+/// A destination's first failure: the failing address and why.
+type Failure = (Addr, AbortReason);
 
 /// What `finish_phase` decides after acting on one phase's results.
 enum Step {
@@ -145,11 +148,14 @@ enum Step {
     Finish(u64),
 }
 
-/// The stashed results of an issued-but-not-finished phase.
+/// The stashed results of an issued-but-not-finished phase. Verb work runs
+/// at issue, so each phase's per-destination results are already folded
+/// into the one outcome its finish acts on: the failure with the smallest
+/// address, whatever order the destinations were issued in.
 enum Pending {
-    Lock(Vec<Completion<DestLockOutcome>>),
+    Lock(Option<Failure>),
     AcquireWriteTs,
-    Validate(Vec<Completion<Option<Addr>>>),
+    Validate(Option<Addr>),
     Replicate,
 }
 
@@ -354,8 +360,13 @@ impl CommitDriver {
     /// Acts on one issued phase's results and picks the next phase.
     fn finish_phase(&mut self, pending: Pending) -> Result<Step, TxError> {
         Ok(match pending {
-            Pending::Lock(outcomes) => {
-                self.finish_lock(outcomes)?;
+            Pending::Lock(failure) => {
+                if let Some((_, reason)) = failure {
+                    return Err(self.abort(reason));
+                }
+                // After the lock outcome, so the unwind owns every lock the
+                // fan-out took.
+                self.fence()?;
                 Step::Next(if self.si {
                     CommitPhase::ReplicateBackups
                 } else {
@@ -363,14 +374,18 @@ impl CommitDriver {
                 })
             }
             Pending::AcquireWriteTs => Step::Next(CommitPhase::Validate),
-            Pending::Validate(completions) => {
-                let failure = completions.into_iter().filter_map(|c| c.value).min();
+            Pending::Validate(failure) => {
+                self.fence()?;
                 if let Some(addr) = failure {
                     return Err(self.abort(AbortReason::ValidationFailed(addr)));
                 }
                 Step::Next(CommitPhase::ReplicateBackups)
             }
             Pending::Replicate => {
+                // Before anything becomes durable on the coordinator's say:
+                // the redo records below go to the backups the plan routed
+                // to, which are only right under the plan's epoch.
+                self.fence()?;
                 if let Some(target) = self.deferred_wait_target.take() {
                     // Residual deferred uncertainty wait — normally zero,
                     // the phase deadline already covered it (issue folded
@@ -390,12 +405,17 @@ impl CommitDriver {
         })
     }
 
-    /// Piggybacks the coordinator's truncation watermark on an outgoing verb
-    /// to `dest` (stage 3 of the lifecycle: zero standalone messages).
-    fn piggyback(&self, dest: NodeId) {
-        self.engine
-            .backlog()
-            .deliver_truncation(&self.engine, dest, false);
+    /// The configuration fence: aborts (retryably) when the cluster's
+    /// configuration epoch has moved since the plan resolved its routing.
+    /// A plan with no groups touches no region and needs no fence.
+    fn fence(&mut self) -> Result<(), TxError> {
+        if self.engine.cluster().epoch() == self.plan.epoch {
+            return Ok(());
+        }
+        match self.plan.groups.first().map(|g| g.region) {
+            Some(region) => Err(self.abort(AbortReason::Reconfiguring(region))),
+            None => Ok(()),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -405,72 +425,48 @@ impl CommitDriver {
     /// Sends one LOCK batch per destination primary — **all destinations at
     /// once**. Primary-side LOCK processing (batch lock acquisition,
     /// multi-version old-version copies) runs inside the per-destination
-    /// verb closures.
+    /// verb closures, at issue, pushing the locks it takes straight into
+    /// `self.locked`. The phase's outcome is the failure with the smallest
+    /// global address, so the abort reason is deterministic whatever order
+    /// the destinations ran in.
     fn issue_lock(&mut self) -> Option<Instant> {
-        let engine = Arc::clone(&self.engine);
+        let engine: &NodeEngine = &self.engine;
         let stats = &engine.stats;
-        // Message accounting: one two-sided LOCK message per destination.
-        for dest in self.plan.lock_destinations() {
+        let mv_policy = engine.config().mv_policy;
+        let (plan, locked) = (&self.plan, &mut self.locked);
+        let mut set: CompletionSet<Option<Failure>> =
+            CompletionSet::new(engine.meter.latency_model());
+        for dest in plan.dest_table().iter().filter(|d| d.lock_ops > 0) {
+            // One two-sided LOCK message per destination.
             engine
                 .meter
                 .rpc_batch_deferred(dest.lock_ops, dest.lock_bytes);
             EngineStats::bump(&stats.lock_batches);
             EngineStats::add(&stats.lock_batch_objects, dest.lock_ops);
-        }
-        let mv_policy = engine.config().mv_policy;
-        let plan = &self.plan;
-        let engine_ref: &NodeEngine = &engine;
-        let mut set: CompletionSet<'_, DestLockOutcome> =
-            CompletionSet::new(engine.meter.latency_model());
-        for (primary, group_idxs) in plan.groups_by_primary() {
-            let lockable: Vec<usize> = group_idxs
-                .into_iter()
-                .filter(|&gi| plan.groups[gi].intents.iter().any(|i| i.needs_lock()))
-                .collect();
-            if lockable.is_empty() {
-                continue; // Alloc-only destination: no LOCK message.
-            }
-            self.piggyback(primary);
-            let work = move || lock_at_destination(engine_ref, plan, &lockable, mv_policy);
-            if primary == engine.id() {
+            piggyback(engine, dest.node);
+            let work = || lock_at_destination(engine, plan, dest, mv_policy, locked);
+            if dest.node == engine.id() {
                 // The LOCK message is still metered above (it is a protocol
                 // message either way), but a co-located primary processes it
                 // without crossing the wire: no injected latency, matching
                 // the local bypass every other phase applies.
-                set.issue_local(primary, work);
+                set.issue_local(dest.node, work);
             } else {
-                set.issue(primary, Verb::Rpc, work);
+                set.issue(dest.node, Verb::Rpc, work);
             }
         }
+        // Destinations ran in node order; sorting by intent index restores
+        // the ascending global address order that install relies on and
+        // unwind releases in reverse.
+        locked.sort_unstable_by_key(|h| h.intent);
         let (outcomes, deadline) =
             set.complete_deferred(DispatchMode::Concurrent, Some(engine.meter.stats()));
-        self.pending = Some(Pending::Lock(outcomes));
+        let failure = outcomes
+            .into_iter()
+            .filter_map(|c| c.value)
+            .min_by_key(|&(addr, _)| addr);
+        self.pending = Some(Pending::Lock(failure));
         deadline
-    }
-
-    /// Merges every destination's locks (failed destinations included:
-    /// partially acquired batches must unwind too) and picks the failure
-    /// with the smallest global address, so the abort reason is
-    /// deterministic whatever order the destinations completed in.
-    fn finish_lock(&mut self, outcomes: Vec<Completion<DestLockOutcome>>) -> Result<(), TxError> {
-        let mut failure: Option<(Addr, AbortReason)> = None;
-        for completion in outcomes {
-            let outcome = completion.value;
-            self.locked.extend(outcome.locks);
-            if let Some((addr, reason)) = outcome.failure {
-                if failure.as_ref().is_none_or(|&(prev, _)| addr < prev) {
-                    failure = Some((addr, reason));
-                }
-            }
-        }
-        // Groups ascend by region and intents by address, so sorting by
-        // (group, intent) restores the ascending global address order that
-        // install relies on and unwind releases in reverse.
-        self.locked.sort_by_key(|h| (h.group, h.intent));
-        match failure {
-            Some((_, reason)) => Err(self.abort(reason)),
-            None => Ok(()),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -543,74 +539,50 @@ impl CommitDriver {
     /// primary** exactly like the LOCK path — and fanned out to all
     /// destinations at once. Only reads that were not written need
     /// validating. The failure reported is the smallest failing address,
-    /// whatever order the destinations completed in.
+    /// whatever order the destinations were issued in.
     fn issue_validate(&mut self) -> Result<Option<Instant>, TxError> {
-        // Written reads need no validation. Small plans (the common
-        // OLTP case) probe the plan directly instead of materializing a
-        // hash set per commit.
-        let small = self.plan.total_intents() <= 16;
-        let written: std::collections::HashSet<Addr> = if small {
-            std::collections::HashSet::new()
-        } else {
-            self.plan
-                .groups
-                .iter()
-                .flat_map(|g| g.intents.iter().map(|i| i.addr))
-                .collect()
-        };
-        let is_written = |addr: Addr| {
-            if small {
-                self.plan.touches(addr)
-            } else {
-                written.contains(&addr)
-            }
-        };
-        // Group the unwritten reads by destination primary, ascending by
-        // address within each group (deterministic first-failure reporting),
-        // carrying each address's resolved region so the validation closure
-        // does not re-resolve it.
-        type Unvalidated = (Addr, Arc<farm_memory::Region>);
-        let mut by_primary: std::collections::BTreeMap<NodeId, Vec<Unvalidated>> =
-            std::collections::BTreeMap::new();
+        // The unwritten reads with their primaries, sorted by (primary,
+        // address): each primary's batch is one run, ascending by address
+        // (deterministic first-failure reporting), carrying each address's
+        // resolved region so the validation closure does not re-resolve it.
+        let mut reads: Vec<Unvalidated> = Vec::new();
         for &addr in self.read_set.keys() {
-            if is_written(addr) {
+            if self.plan.touches(addr) {
                 continue;
             }
             let Ok((primary, region)) = self.engine.primary_region_of(addr) else {
                 return Err(self.abort(AbortReason::ValidationFailed(addr)));
             };
-            by_primary.entry(primary).or_default().push((addr, region));
+            reads.push((primary, addr, region));
         }
-        for entries in by_primary.values_mut() {
-            entries.sort_by_key(|&(addr, _)| addr);
-        }
-        let engine = Arc::clone(&self.engine);
+        reads.sort_unstable_by_key(|&(primary, addr, _)| (primary, addr));
+        let engine: &NodeEngine = &self.engine;
         let stats = &engine.stats;
         let read_ts = self.read_ts;
-        let engine_ref: &NodeEngine = &engine;
-        let mut set: CompletionSet<'_, Option<Addr>> =
-            CompletionSet::new(engine.meter.latency_model());
-        for (&primary, entries) in &by_primary {
+        let mut set: CompletionSet<Option<Addr>> = CompletionSet::new(engine.meter.latency_model());
+        for batch in reads.chunk_by(|a, b| a.0 == b.0) {
             // One VALIDATE message per destination primary carrying all of
             // its header reads (16 bytes each); free when the coordinator is
             // that primary (local bypass).
+            let primary = batch[0].0;
             EngineStats::bump(&stats.validate_batches);
-            EngineStats::add(&stats.validate_batch_objects, entries.len() as u64);
-            self.piggyback(primary);
-            let work = move || validate_at_destination(engine_ref, entries, read_ts);
+            EngineStats::add(&stats.validate_batch_objects, batch.len() as u64);
+            piggyback(engine, primary);
+            let work = || validate_at_destination(engine, batch, read_ts);
             if primary == engine.id() {
-                EngineStats::add(&stats.read_local_bypass, entries.len() as u64);
+                EngineStats::add(&stats.read_local_bypass, batch.len() as u64);
                 set.issue_local(primary, work);
             } else {
                 engine
                     .meter
-                    .read_batch_deferred(entries.len() as u64, 16 * entries.len());
+                    .read_batch_deferred(batch.len() as u64, 16 * batch.len());
                 set.issue(primary, Verb::RdmaRead, work);
             }
         }
         let (completions, deadline) =
             set.complete_deferred(DispatchMode::Concurrent, Some(engine.meter.stats()));
-        self.pending = Some(Pending::Validate(completions));
+        let failure = completions.into_iter().filter_map(|c| c.value).min();
+        self.pending = Some(Pending::Validate(failure));
         Ok(deadline)
     }
 
@@ -627,16 +599,18 @@ impl CommitDriver {
     /// sum.
     fn issue_replicate_backups(&mut self) -> Option<Instant> {
         let engine = Arc::clone(&self.engine);
-        let mut set: CompletionSet<'_, ()> = CompletionSet::new(engine.meter.latency_model());
-        for (node, ops, bytes) in self.plan.backup_destinations() {
-            engine.meter.write_batch_deferred(ops, bytes);
+        let mut set: CompletionSet<()> = CompletionSet::new(engine.meter.latency_model());
+        for dest in self.plan.dest_table().iter().filter(|d| d.backup_ops > 0) {
+            engine
+                .meter
+                .write_batch_deferred(dest.backup_ops, dest.backup_bytes);
             engine.meter.ack();
             EngineStats::bump(&engine.stats.backup_batches);
-            self.piggyback(node);
-            if node == engine.id() {
-                set.issue_local(node, || ());
+            piggyback(&engine, dest.node);
+            if dest.node == engine.id() {
+                set.issue_local(dest.node, || ());
             } else {
-                set.issue(node, Verb::RdmaWrite, || ());
+                set.issue(dest.node, Verb::RdmaWrite, || ());
             }
         }
         let mut wait_deadline: Option<Instant> = None;
@@ -682,49 +656,50 @@ impl CommitDriver {
         let engine = Arc::clone(&self.engine);
         let write_ts = self.write_ts;
         let multi_version = engine.config().mv_policy.is_some();
-        // Backup redo-log records: one entry per backup destination holding
-        // that destination's intents, with the primary's slab size classes
-        // (resolved by the plan) so the backup can mirror the layout.
-        let mut per_backup: Vec<(NodeId, Vec<RecordIntent>)> = Vec::new();
-        for group in &self.plan.groups {
-            for &backup in &group.backups {
-                let records = match per_backup.iter_mut().find(|(n, _)| *n == backup) {
-                    Some((_, records)) => records,
-                    None => {
-                        per_backup.push((backup, Vec::with_capacity(group.intents.len())));
-                        &mut per_backup.last_mut().expect("just pushed").1
-                    }
-                };
-                records.extend(group.intents.iter().map(|intent| RecordIntent {
-                    addr: intent.addr,
-                    free: intent.kind == IntentKind::Free,
-                    data: intent.data.clone(),
-                    slab_size: intent.slab_size,
-                }));
+        let plan = &self.plan;
+        for dest in plan.dest_table() {
+            // Backup redo-log record: one entry per backup destination
+            // holding that destination's intents, with the primary's slab
+            // size classes (resolved by the plan) so the backup can mirror
+            // the layout. The one copy per backup models the replicated
+            // bytes.
+            if dest.backup_ops > 0 {
+                let mut intents = Vec::with_capacity(dest.backup_ops as usize);
+                for &gi in plan.backup_groups(dest) {
+                    intents.extend(plan.group_intents(gi).iter().map(|intent| RecordIntent {
+                        addr: intent.addr,
+                        free: intent.kind == IntentKind::Free,
+                        data: intent.data.clone(),
+                        slab_size: intent.slab_size,
+                    }));
+                }
+                engine.backlog().deposit(
+                    dest.node,
+                    LogEntry {
+                        coordinator: engine.id(),
+                        write_ts,
+                        intents,
+                    },
+                );
             }
-        }
-        for (backup, intents) in per_backup {
-            engine.backlog().deposit(
-                backup,
-                LogEntry {
-                    coordinator: engine.id(),
-                    write_ts,
-                    intents,
-                },
-            );
-        }
-        // COMMIT-PRIMARY is posted now (the messages are on the wire, hence
-        // metered) but never awaited: their destination-side processing is
-        // the backlog's job.
-        for (_node, ops, bytes) in self.plan.primary_destinations() {
-            engine.meter.write_batch_deferred(ops, bytes);
-            EngineStats::bump(&engine.stats.primary_batches);
+            // COMMIT-PRIMARY is posted now (the message is on the wire,
+            // hence metered) but never awaited: its destination-side
+            // processing is the backlog's job.
+            if dest.install_ops > 0 {
+                engine
+                    .meter
+                    .write_batch_deferred(dest.install_ops, dest.install_bytes);
+                EngineStats::bump(&engine.stats.primary_batches);
+            }
         }
         // Allocations initialize eagerly: fresh slots are invisible (not
         // locked) until initialized, so a reader could not help them the way
         // it helps locked updates.
-        for group in &self.plan.groups {
-            for intent in group.intents.iter().filter(|i| i.kind == IntentKind::Alloc) {
+        for (gi, group) in plan.groups.iter().enumerate() {
+            for intent in plan.group_intents(gi) {
+                if intent.kind != IntentKind::Alloc {
+                    continue;
+                }
                 if let Ok(slot) = group.region_handle.slot(intent.addr) {
                     slot.initialize(write_ts, intent.data.clone());
                 }
@@ -738,13 +713,7 @@ impl CommitDriver {
         // Hand the held locks to the backlog. The truncation reservation
         // transfers with them: it is withdrawn (raising the watermark) when
         // the last destination installs.
-        let plan = std::mem::replace(
-            &mut self.plan,
-            CommitPlan {
-                groups: Vec::new(),
-                cancelled_allocs: Vec::new(),
-            },
-        );
+        let plan = std::mem::take(&mut self.plan);
         let locked = std::mem::take(&mut self.locked);
         self.trunc_registered = false;
         engine.enqueue_install(PendingInstall::new(
@@ -762,9 +731,8 @@ impl CommitDriver {
     // ------------------------------------------------------------------
 
     /// Routes a phase failure through the central unwind step. By the time
-    /// this runs, every in-flight sibling verb of the failing phase has
-    /// already been drained (the completion set never short-circuits), so
-    /// `self.locked` holds the locks of *all* destinations, in ascending
+    /// this runs, every verb of the failing phase has executed (verb work
+    /// runs at issue, and every issued verb runs), so `self.locked` holds the locks of *all* destinations, in ascending
     /// global address order. A write timestamp reserved for truncation is
     /// withdrawn — which can only *unblock* earlier transactions'
     /// watermarks, never lose them.
@@ -793,16 +761,8 @@ impl Drop for CommitDriver {
         self.completed = true;
         // Abandoned mid-flight (e.g. a panic unwinding through a pipeline's
         // pump). Every phase a driver can be parked in precedes durability,
-        // so undoing is always safe. A LOCK's destination-side closures
-        // already ran at issue time; their locks live in the stashed
-        // completions, not in `self.locked` yet — merge them so the unwind
-        // releases every one.
-        if let Some(Pending::Lock(outcomes)) = self.pending.take() {
-            for completion in outcomes {
-                self.locked.extend(completion.value.locks);
-            }
-            self.locked.sort_by_key(|h| (h.group, h.intent));
-        }
+        // so undoing is always safe: a LOCK's destination-side work ran at
+        // issue and left every lock it took in `self.locked`.
         // Release the locks, roll the allocations back, withdraw every
         // registration. `abort` handles the truncation reservation and
         // `unwind` clears `locked`.
@@ -819,9 +779,10 @@ impl Drop for CommitDriver {
 /// Primary-side LOCK processing for one destination: acquire every group's
 /// batch atomically-in-order, then (multi-version mode) copy the current
 /// version of each locked object into old-version memory while holding the
-/// lock. Locks acquired before a failure are *returned, not released* — the
-/// coordinator's unwind releases them together with every other
-/// destination's, preserving the single central abort path.
+/// lock. Every lock acquired — before a failure too — is pushed into the
+/// driver's `locked`, *not released*: the coordinator's unwind releases
+/// them together with every other destination's, preserving the single
+/// central abort path.
 ///
 /// A conflict against a lock held by an **already-durable** transaction
 /// (early-acked, install still pending) is not a real conflict: the locker
@@ -832,16 +793,13 @@ impl Drop for CommitDriver {
 fn lock_at_destination(
     engine: &NodeEngine,
     plan: &CommitPlan,
-    group_idxs: &[usize],
+    dest: &Destination,
     mv_policy: Option<MvPolicy>,
-) -> DestLockOutcome {
-    let mut out = DestLockOutcome {
-        locks: Vec::new(),
-        failure: None,
-    };
-    for &gi in group_idxs {
+    locked: &mut Vec<HeldLock>,
+) -> Option<Failure> {
+    for &gi in plan.primary_groups(dest) {
         let group = &plan.groups[gi];
-        let entries = group.lock_entries();
+        let entries = plan.lock_entries(gi);
         if entries.is_empty() {
             continue;
         }
@@ -849,12 +807,11 @@ fn lock_at_destination(
         // (fault injection): fail the batch rather than touch dead memory.
         if !engine.cluster().node(group.primary).is_alive() {
             let addr = entries[0].0;
-            out.failure = Some((addr, AbortReason::NodeUnavailable(addr)));
-            return out;
+            return Some((addr, AbortReason::NodeUnavailable(addr)));
         }
         let mut backoff = LockBackoff::new(engine.config().read_lock_retries);
         let slots = loop {
-            match group.region_handle.try_lock_batch(&entries) {
+            match group.region_handle.try_lock_batch(entries) {
                 Ok(slots) => break slots,
                 Err(failure) => {
                     if failure.outcome == LockOutcome::Conflict {
@@ -868,61 +825,60 @@ fn lock_at_destination(
                         LockOutcome::NotAllocated => AbortReason::BadAddress(failure.addr),
                         _ => AbortReason::LockConflict(failure.addr),
                     };
-                    out.failure = Some((failure.addr, reason));
-                    return out;
+                    return Some((failure.addr, reason));
                 }
             }
         };
-        let lockable = slots.len();
-        let mut slot_iter = slots.into_iter();
-        for (ii, intent) in group.intents.iter().enumerate() {
-            if !intent.needs_lock() {
-                continue;
-            }
-            let slot = slot_iter.next().expect("one slot per lockable intent");
-            out.locks.push(HeldLock {
-                group: gi,
-                intent: ii,
-                slot,
-                old_addr: None,
-                truncated: false,
-            });
-        }
+        let start = locked.len();
+        let lockable = plan
+            .intent_range(gi)
+            .filter(|&ii| plan.intents()[ii].needs_lock());
+        locked.extend(lockable.zip(slots).map(|(intent, slot)| HeldLock {
+            group: gi,
+            intent,
+            slot,
+            old_addr: None,
+            truncated: false,
+        }));
         // Primary-side LOCK processing: in multi-version mode, copy the
         // current version of every locked object (updates and frees alike —
         // a free preserves history identically) into old-version memory
         // while holding the lock.
         if let Some(mv_policy) = mv_policy {
-            let start = out.locks.len() - lockable;
-            for li in start..out.locks.len() {
-                let snapshot = out.locks[li].slot.header_snapshot();
+            for held in &mut locked[start..] {
+                let snapshot = held.slot.header_snapshot();
                 let old = OldVersion {
                     ts: snapshot.ts,
                     ovp: snapshot.ovp,
-                    data: out.locks[li].slot.raw_data(),
+                    data: held.slot.raw_data(),
                 };
                 match allocate_old_version(engine, group.primary, old, mv_policy) {
                     Ok(addr) => {
-                        out.locks[li].old_addr = Some(addr);
+                        held.old_addr = Some(addr);
                         EngineStats::bump(&engine.stats.old_versions_allocated);
                     }
                     Err(AbortReason::OldVersionMemoryExhausted)
                         if mv_policy == MvPolicy::Truncate =>
                     {
                         EngineStats::bump(&engine.stats.oldver_truncations);
-                        out.locks[li].truncated = true;
+                        held.truncated = true;
                     }
-                    Err(reason) => {
-                        let held = &out.locks[li];
-                        let addr = plan.groups[held.group].intents[held.intent].addr;
-                        out.failure = Some((addr, reason));
-                        return out;
-                    }
+                    Err(reason) => return Some((plan.intents()[held.intent].addr, reason)),
                 }
             }
         }
     }
-    out
+    None
+}
+
+/// An unwritten read awaiting validation: its primary, its address and the
+/// primary's replica of its region.
+type Unvalidated = (NodeId, Addr, Arc<Region>);
+
+/// Piggybacks the coordinator's truncation watermark on an outgoing verb
+/// to `dest` (stage 3 of the lifecycle: zero standalone messages).
+fn piggyback(engine: &NodeEngine, dest: NodeId) {
+    engine.backlog().deliver_truncation(engine, dest, false);
 }
 
 /// Allocates an old version at `primary`, applying the configured policy
@@ -983,10 +939,10 @@ fn allocate_old_version(
 /// decides honestly (a newer installed version still fails validation).
 fn validate_at_destination(
     engine: &NodeEngine,
-    entries: &[(Addr, Arc<farm_memory::Region>)],
+    entries: &[Unvalidated],
     read_ts: u64,
 ) -> Option<Addr> {
-    for (addr, region) in entries {
+    for (_, addr, region) in entries {
         let ok = match region.slot(*addr) {
             Ok(slot) => {
                 let mut h = slot.header_snapshot();
@@ -1019,7 +975,7 @@ pub(crate) fn install_held_lock(
     multi_version: bool,
 ) {
     let group = &plan.groups[held.group];
-    let intent = &group.intents[held.intent];
+    let intent = &plan.intents()[held.intent];
     let ovp = if multi_version && !held.truncated {
         if let Some(old_addr) = held.old_addr {
             // The old version becomes reclaimable once the GC safe
@@ -1069,8 +1025,19 @@ mod tests {
     use crate::opts::EngineConfig;
     use crate::tx::{PreparedCommit, Transaction};
 
+    /// Drives a (possibly parked) driver to its outcome.
+    fn finish(driver: &mut CommitDriver) -> Result<CommitInfo, TxError> {
+        let model = driver.engine.meter.latency_model();
+        loop {
+            match driver.advance(Instant::now()) {
+                DriverStep::Wait(deadline) => model.wait_until(deadline),
+                DriverStep::Finished(result) => return result,
+            }
+        }
+    }
+
     /// Hands back the driver `tx`'s commit runs on.
-    fn driver_of(tx: Transaction) -> Box<CommitDriver> {
+    fn driver_of(tx: Transaction) -> CommitDriver {
         match tx.prepare_commit() {
             PreparedCommit::InFlight(driver) => driver,
             PreparedCommit::Done(result) => panic!("commit decided without a driver: {result:?}"),
@@ -1156,5 +1123,78 @@ mod tests {
     #[test]
     fn a_driver_abandoned_during_replication_leaves_nothing_behind() {
         abandoned_driver_leaves_nothing_behind(|p| matches!(p, Pending::Replicate), true);
+    }
+
+    /// A lost update across a reconfiguration. tx1 reads an account
+    /// holding 100 and writes 101, and is parked at `at`. The account's
+    /// primary, n1, dies, and a reconfiguration promotes a backup. tx2 then
+    /// adds 10 through the retry loop. tx1 was planned under the old
+    /// configuration, so it must not be decided under the new one: it
+    /// aborts retryably, and the account holds 110. Without the fence tx1
+    /// also reports success — at the lock, its write lands over tx2's
+    /// (101); at replication, tx2's lands over its (110) — and one of the
+    /// two acknowledged updates is lost.
+    fn a_commit_parked_across_a_reconfiguration_is_fenced(at: fn(&Pending) -> bool) {
+        let config = EngineConfig {
+            latency: LatencyModel::datacenter(),
+            gc_interval: Duration::from_secs(3600),
+            ..EngineConfig::default()
+        };
+        let engine = Engine::start_cluster(ClusterConfig::test(4), config);
+        let coordinator = engine.node(NodeId(0));
+        let cluster = engine.cluster();
+        let (victim, survivor) = (NodeId(1), NodeId(0));
+        let region = cluster
+            .regions()
+            .into_iter()
+            .find(|&r| cluster.primary_of(r) == Some(victim))
+            .expect("a region whose primary is n1");
+        let mut setup = coordinator.begin();
+        let addr = setup
+            .alloc_in(region, 100u64.to_le_bytes().to_vec())
+            .unwrap();
+        setup.commit().unwrap();
+        engine.quiesce();
+        let balance = |tx: &mut Transaction| -> Result<u64, TxError> {
+            let bytes = tx.read(addr)?;
+            Ok(u64::from_le_bytes(bytes[..8].try_into().unwrap()))
+        };
+
+        let mut tx1 = coordinator.begin();
+        assert_eq!(balance(&mut tx1).unwrap(), 100);
+        tx1.write(addr, 101u64.to_le_bytes().to_vec()).unwrap();
+        let mut tx1 = driver_of(tx1);
+        park(&mut tx1, at);
+
+        cluster.kill(victim);
+        assert!(cluster.initiate_reconfiguration(survivor, &[victim]));
+        coordinator
+            .run_transaction(TxOptions::default(), |tx| {
+                let value = balance(tx)?;
+                tx.write(addr, (value + 10).to_le_bytes().to_vec())
+            })
+            .expect("tx2 commits under the new configuration");
+        let tx1 = finish(&mut tx1);
+        engine.quiesce();
+        let mut check = coordinator.begin();
+        let value = balance(&mut check).unwrap();
+        check.commit().unwrap();
+        assert!(
+            matches!(tx1, Err(TxError::Aborted(AbortReason::Reconfiguring(r))) if r == region),
+            "tx1 decided across the reconfiguration: {tx1:?}, account {value}"
+        );
+        assert!(tx1.unwrap_err().is_retryable());
+        assert_eq!(value, 110, "an acknowledged update was lost");
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_commit_parked_at_lock_across_a_reconfiguration_aborts() {
+        a_commit_parked_across_a_reconfiguration_is_fenced(|p| matches!(p, Pending::Lock(_)));
+    }
+
+    #[test]
+    fn a_commit_parked_at_replication_across_a_reconfiguration_aborts() {
+        a_commit_parked_across_a_reconfiguration_is_fenced(|p| matches!(p, Pending::Replicate));
     }
 }

@@ -7,9 +7,9 @@
 //! install) per machine, each carrying that machine's share of the write
 //! set. This module implements that structure in three parts:
 //!
-//! * [`plan`] — groups the write/free/alloc sets by destination primary and
-//!   backup ([`CommitPlan`]), fixing the deterministic global
-//!   address order in which locks are acquired.
+//! * `plan` — groups the write/free/alloc sets by region and computes the
+//!   destination table every phase reads (`CommitPlan`), fixing the
+//!   deterministic global address order in which locks are acquired.
 //! * [`driver`] — the [`CommitDriver`] state machine with explicit phases
 //!   (`Lock → [AcquireWriteTs → Validate] → ReplicateBackups`, the bracketed
 //!   pair serializable only), one batched metered message per destination
@@ -33,9 +33,9 @@
 pub(crate) mod backlog;
 pub mod driver;
 pub mod pipeline;
-pub mod plan;
+pub(crate) mod plan;
 mod unwind;
 
 pub use driver::{CommitDriver, CommitPhase};
 pub use pipeline::{CommitPipeline, PipelineTimings};
-pub use plan::{CommitPlan, DestinationBatch, IntentKind, RegionGroup, WriteIntent};
+pub(crate) use plan::CommitPlan;

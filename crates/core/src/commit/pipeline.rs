@@ -12,10 +12,12 @@
 //! throughput scales toward `depth / max-phase-latency` instead of
 //! `1 / total-latency`.
 //!
-//! The scheduler is a **deadline-heap reactor**: waiting flights sit in a
-//! binary min-heap ordered by wake deadline, so a sweep pops only the
-//! expired prefix — O(ready · log n), not O(depth) — and reads the clock
-//! once per sweep instead of once per flight. When every flight is on the
+//! The scheduler is a **deadline-heap reactor**: each flight's driver sits
+//! in one of `depth` slots for its whole critical path, and the waiting
+//! flights' slot numbers sit in a binary min-heap ordered by wake deadline,
+//! so a sweep pops only the expired prefix — O(ready · log n), not
+//! O(depth) — and reads the clock once per sweep instead of once per
+//! flight. When every flight is on the
 //! wire the reactor sleeps once for the whole *batch* of deadlines that
 //! fall within a 2 µs wake quantum: it targets the latest deadline inside
 //! the window, so one wakeup advances every flight in the batch. No verb
@@ -45,14 +47,15 @@ use crate::tx::{CommitInfo, PreparedCommit, Transaction};
 
 use super::driver::{CommitDriver, DriverStep};
 
-/// One waiting flight in the deadline heap: the driver plus the deadline it
-/// is waiting out. Ordered so the **earliest** deadline is at the top of a
-/// `BinaryHeap` (which is a max-heap), with ties broken toward the older
-/// submission so completion order stays deterministic under equal deadlines.
+/// One waiting flight in the deadline heap: the slot of its driver plus the
+/// deadline it is waiting out. Ordered so the **earliest** deadline is at
+/// the top of a `BinaryHeap` (which is a max-heap), with ties broken toward
+/// the older submission so completion order stays deterministic under equal
+/// deadlines.
 struct Waiting {
     wake: Instant,
     seq: u64,
-    driver: Box<CommitDriver>,
+    slot: usize,
 }
 
 impl PartialEq for Waiting {
@@ -151,11 +154,13 @@ pub struct CommitPipeline {
     engine: Arc<NodeEngine>,
     depth: usize,
     seq: u64,
-    /// Flights ready to advance now (never issued, or handed over ready).
-    /// Boxed on purpose: drivers shuttle between here and [`Waiting`] heap
-    /// entries without moving the large struct.
-    #[allow(clippy::vec_box)]
-    ready: Vec<Box<CommitDriver>>,
+    /// The in-flight drivers, each in the slot it was submitted to until it
+    /// finishes; the free slots are `None`. Drivers never move while in
+    /// flight, and no slot is allocated per commit.
+    slots: Vec<Option<CommitDriver>>,
+    /// The slots one sweep advances: a just-submitted flight, then the
+    /// expired heap prefix. Kept so its buffer outlives the sweep.
+    batch: Vec<usize>,
     /// Flights waiting out a deadline, earliest on top.
     waiting: BinaryHeap<Waiting>,
     results: Vec<Result<CommitInfo, TxError>>,
@@ -171,7 +176,8 @@ impl NodeEngine {
             engine: Arc::clone(self),
             depth: depth.max(1),
             seq: 0,
-            ready: Vec::new(),
+            slots: Vec::new(),
+            batch: Vec::new(),
             waiting: BinaryHeap::new(),
             results: Vec::new(),
             timings: PipelineTimings::default(),
@@ -187,7 +193,7 @@ impl CommitPipeline {
 
     /// Number of commits currently in their critical paths.
     pub fn in_flight(&self) -> usize {
-        self.ready.len() + self.waiting.len()
+        self.waiting.len()
     }
 
     /// Cycle accounting accumulated since construction.
@@ -206,7 +212,15 @@ impl CommitPipeline {
             PreparedCommit::Done(result) => self.results.push(result),
             PreparedCommit::InFlight(driver) => {
                 self.pump_until(self.depth - 1);
-                self.ready.push(driver);
+                let slot = match self.slots.iter().position(Option::is_none) {
+                    Some(free) => free,
+                    None => {
+                        self.slots.push(None);
+                        self.slots.len() - 1
+                    }
+                };
+                self.slots[slot] = Some(driver);
+                self.batch.push(slot);
                 self.step_ready(Instant::now());
             }
         }
@@ -237,31 +251,33 @@ impl CommitPipeline {
     /// (no `Vec::remove` shifting — results are completion order, as
     /// documented on [`CommitPipeline::submit`]).
     fn step_ready(&mut self, now: Instant) -> usize {
-        let mut batch = std::mem::take(&mut self.ready);
         while self.waiting.peek().is_some_and(|w| w.wake <= now) {
-            batch.push(self.waiting.pop().expect("peeked").driver);
+            self.batch.push(self.waiting.pop().expect("peeked").slot);
         }
-        let advanced = batch.len();
+        let advanced = self.batch.len();
         if advanced == 0 {
             return 0;
         }
         self.timings.sweeps += 1;
-        for mut driver in batch {
+        for &slot in &self.batch {
+            let driver = self.slots[slot].as_mut().expect("in-flight slot");
             match driver.advance(now) {
                 DriverStep::Wait(wake) => {
                     self.seq += 1;
                     self.waiting.push(Waiting {
                         wake,
                         seq: self.seq,
-                        driver,
+                        slot,
                     });
                 }
                 DriverStep::Finished(result) => {
+                    self.slots[slot] = None;
                     self.timings.completed += 1;
                     self.results.push(result);
                 }
             }
         }
+        self.batch.clear();
         self.timings.issue_ns += now.elapsed().as_nanos() as u64;
         advanced
     }
@@ -302,9 +318,16 @@ impl CommitPipeline {
 
 impl Drop for CommitPipeline {
     fn drop(&mut self) {
-        // Never abandon in-flight commits: their drivers hold locks at the
-        // primaries. Draining completes them (they are past the point of
-        // caller control anyway; the results are simply discarded).
+        // A panic unwinding through a sweep leaves its drivers mid-step:
+        // dropping them abandons each (releasing its locks), as the
+        // driver's own `Drop` documents.
+        if std::thread::panicking() {
+            return;
+        }
+        // Otherwise never abandon in-flight commits: their drivers hold
+        // locks at the primaries. Draining completes them (they are past
+        // the point of caller control anyway; the results are simply
+        // discarded).
         self.pump_until(0);
     }
 }

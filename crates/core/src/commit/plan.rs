@@ -2,15 +2,26 @@
 //! destination so every protocol phase sends **one batched message per
 //! machine** instead of one per object.
 //!
-//! The plan is organized as [`RegionGroup`]s sorted by region id. Since a
-//! global [`Addr`] orders by `(region, slab, slot)` and each region has
-//! exactly one primary, iterating the groups in order and each group's
-//! intents in order visits every address in **ascending global address
-//! order** — the deterministic lock-acquisition order shared by all
-//! coordinators (no two committers ever acquire overlapping lock sets in
-//! opposite orders, so batched locking cannot deadlock).
+//! [`CommitPlan::build`] sorts the intents by address and splits them into
+//! [`RegionGroup`]s, one per region, ascending by region id. Since a global
+//! [`Addr`] orders by `(region, slab, slot)` and each region has exactly one
+//! primary, iterating the groups in order and each group's intents in order
+//! visits every address in **ascending global address order** — the
+//! deterministic lock-acquisition order shared by all coordinators (no two
+//! committers ever acquire overlapping lock sets in opposite orders, so
+//! batched locking cannot deadlock).
+//!
+//! The plan then computes its **destination table** once: one
+//! [`Destination`] row per machine the commit talks to, holding the groups
+//! that machine is primary for, the groups it backs up, and the ops and
+//! wire bytes of its LOCK, COMMIT-PRIMARY and COMMIT-BACKUP messages. Every
+//! phase, the backup redo records and the install backlog read this one
+//! table, so their accounting cannot drift apart and no phase rebuilds it.
 
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use farm_memory::{Addr, Region, RegionId};
@@ -19,11 +30,9 @@ use farm_net::NodeId;
 use crate::engine::NodeEngine;
 use crate::error::AbortReason;
 
-use std::sync::Arc;
-
 /// What a committing transaction intends to do to one object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntentKind {
+pub(crate) enum IntentKind {
     /// Install a new version of an existing object.
     Update,
     /// Free an existing object (a write of "nothing"; in multi-version mode
@@ -36,7 +45,7 @@ pub enum IntentKind {
 
 /// One object-level intent within a commit.
 #[derive(Debug, Clone)]
-pub struct WriteIntent {
+pub(crate) struct WriteIntent {
     /// The object's global address.
     pub addr: Addr,
     /// The version the transaction read (and must lock at); 0 for allocs.
@@ -60,56 +69,76 @@ impl WriteIntent {
     /// Wire size of this intent inside a batched message (64-byte record
     /// header plus payload, matching the per-object costs the unbatched
     /// protocol metered).
-    pub fn wire_bytes(&self) -> usize {
+    fn wire_bytes(&self) -> usize {
         64 + self.data.len()
     }
 }
 
 /// All intents of one transaction that land in one region — and therefore at
-/// one primary and one set of backups. Intents are sorted by ascending
-/// address.
-pub struct RegionGroup {
+/// one primary and one set of backups.
+pub(crate) struct RegionGroup {
     /// The region every intent in this group belongs to.
     pub region: RegionId,
     /// The region's primary machine.
     pub primary: NodeId,
-    /// The region's backup machines (may be empty).
-    pub backups: Vec<NodeId>,
+    /// The region's backup machines (may be empty), shared with the
+    /// cluster's placement.
+    pub backups: Arc<[NodeId]>,
     /// The primary's replica of the region.
     pub region_handle: Arc<Region>,
-    /// Object intents, ascending by address.
-    pub intents: Vec<WriteIntent>,
+    /// This group's run of the plan's intents, ascending by address.
+    intents: Range<usize>,
+    /// This group's run of the plan's lock entries.
+    locks: Range<usize>,
 }
 
-impl RegionGroup {
-    /// `(addr, expected_ts)` pairs for the intents that take part in the
-    /// LOCK phase, in ascending address order.
-    pub fn lock_entries(&self) -> Vec<(Addr, u64)> {
-        self.intents
-            .iter()
-            .filter(|i| i.needs_lock())
-            .map(|i| (i.addr, i.expected_ts))
-            .collect()
-    }
-}
-
-/// Aggregate view of one destination primary: how many objects and bytes its
-/// single LOCK message carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DestinationBatch {
+/// One row of the destination table: everything one machine receives from
+/// this commit. Rows are ascending by node id; a machine appears once
+/// whatever mix of roles it plays.
+pub(crate) struct Destination {
     /// The destination machine.
-    pub primary: NodeId,
-    /// Lockable objects carried by the LOCK message.
+    pub node: NodeId,
+    /// The groups this machine is primary for: a run of the plan's group
+    /// lists, ascending.
+    primary_groups: Range<usize>,
+    /// The groups this machine backs up: a run of the plan's group lists,
+    /// ascending.
+    backup_groups: Range<usize>,
+    /// Lockable objects its LOCK message carries (0: no LOCK message).
     pub lock_ops: u64,
-    /// Total wire bytes of the LOCK message payload.
+    /// Wire bytes of its LOCK message.
     pub lock_bytes: usize,
+    /// Objects its COMMIT-PRIMARY message installs (0: not a primary).
+    pub install_ops: u64,
+    /// Wire bytes of its COMMIT-PRIMARY message.
+    pub install_bytes: usize,
+    /// Objects its COMMIT-BACKUP record carries (0: not a backup).
+    pub backup_ops: u64,
+    /// Wire bytes of its COMMIT-BACKUP record.
+    pub backup_bytes: usize,
+    /// Set by the first thread that applies this destination's
+    /// COMMIT-PRIMARY installs once the plan has moved into the backlog.
+    pub install_claimed: AtomicBool,
 }
 
 /// The full commit plan of one transaction.
-pub struct CommitPlan {
+#[derive(Default)]
+pub(crate) struct CommitPlan {
+    /// The cluster's configuration epoch, read before routing was
+    /// resolved: the commit is decided only if it is still current.
+    pub epoch: u64,
+    /// Every intent, ascending by address.
+    intents: Vec<WriteIntent>,
+    /// `(addr, expected_ts)` of every lockable intent, ascending by
+    /// address: the LOCK batches, each group's a contiguous run.
+    lock_entries: Vec<(Addr, u64)>,
     /// Per-region intent groups, ascending by region id (== ascending global
     /// address order).
     pub groups: Vec<RegionGroup>,
+    /// The destination table, ascending by node id.
+    dests: Vec<Destination>,
+    /// Group indices, one run per destination role (see [`Destination`]).
+    group_lists: Vec<usize>,
     /// Objects both allocated and freed by the same transaction: they never
     /// become visible, so they carry no intents — their pre-allocated slots
     /// are simply returned at install (or by the abort unwind).
@@ -131,7 +160,7 @@ impl CommitPlan {
     ) -> Result<CommitPlan, AbortReason> {
         let mut intents: Vec<WriteIntent> = Vec::with_capacity(write_set.len() + free_set.len());
         let mut frees: Vec<Addr> = free_set.to_vec();
-        frees.sort();
+        frees.sort_unstable();
         frees.dedup();
         let is_freed = |addr: Addr| frees.binary_search(&addr).is_ok();
         let mut cancelled_allocs = Vec::new();
@@ -184,148 +213,184 @@ impl CommitPlan {
                 slab_size: 0,
             });
         }
+        cancelled_allocs.sort_unstable();
 
-        // Group by region, then sort groups by region id and intents by
-        // address: the resulting iteration order is the ascending global
-        // address order. Each group's routing (primary, backups, the
-        // primary's replica, slab size classes) is resolved once, here.
-        let mut by_region: HashMap<RegionId, Vec<WriteIntent>> = HashMap::new();
-        for intent in intents {
-            by_region
-                .entry(intent.addr.region)
-                .or_default()
-                .push(intent);
-        }
-        let mut groups: Vec<RegionGroup> = Vec::with_capacity(by_region.len());
-        for (region, mut group_intents) in by_region {
-            group_intents.sort_by_key(|i| i.addr);
-            let probe = group_intents[0].addr;
+        // Ascending addresses are ascending regions, so each region's
+        // intents form one run: split the runs into groups, resolving each
+        // group's routing (primary, backups, the primary's replica, slab
+        // size classes) once, here. The epoch is read first, so a
+        // reconfiguration that changes any of it also changes the epoch
+        // the driver fences on.
+        intents.sort_unstable_by_key(|i| i.addr);
+        let epoch = engine.cluster().epoch();
+        let same_region = |a: &WriteIntent, b: &WriteIntent| a.addr.region == b.addr.region;
+        let regions = intents.chunk_by(same_region).count();
+        let lockable = intents.iter().filter(|i| i.needs_lock()).count();
+        let mut groups: Vec<RegionGroup> = Vec::with_capacity(regions);
+        let mut lock_entries: Vec<(Addr, u64)> = Vec::with_capacity(lockable);
+        let mut start = 0;
+        for run in intents.chunk_by_mut(same_region) {
+            let probe = run[0].addr;
             let (assignment, region_handle) = engine
                 .route_of(probe)
                 .map_err(|_| AbortReason::RegionUnavailable(probe))?;
-            for intent in &mut group_intents {
+            let locks_start = lock_entries.len();
+            for intent in run.iter_mut() {
                 intent.slab_size = region_handle
                     .slab_at(intent.addr.slab)
                     .map_or(0, |s| s.object_size());
+                if intent.needs_lock() {
+                    lock_entries.push((intent.addr, intent.expected_ts));
+                }
             }
             groups.push(RegionGroup {
-                region,
+                region: probe.region,
                 primary: assignment.primary,
                 backups: assignment.backups,
                 region_handle,
-                intents: group_intents,
+                intents: start..start + run.len(),
+                locks: locks_start..lock_entries.len(),
             });
+            start += run.len();
         }
-        groups.sort_by_key(|g| g.region);
-        cancelled_allocs.sort();
-        Ok(CommitPlan {
+        let mut plan = CommitPlan {
+            epoch,
+            intents,
+            lock_entries,
             groups,
+            dests: Vec::new(),
+            group_lists: Vec::new(),
             cancelled_allocs,
-        })
+        };
+        plan.build_destinations(engine.cluster().nodes().len());
+        Ok(plan)
     }
 
-    /// Total number of object intents across all groups.
-    pub fn total_intents(&self) -> usize {
-        self.groups.iter().map(|g| g.intents.len()).sum()
+    /// Fills the destination table of a plan whose groups are built:
+    /// accumulate each machine's roles and message sizes (one row slot per
+    /// cluster machine, then the untouched ones dropped — already ascending
+    /// by node id), then lay the per-role group lists out in one vector.
+    fn build_destinations(&mut self, machines: usize) {
+        if self.groups.is_empty() {
+            return;
+        }
+        let mut dests: Vec<Destination> = Vec::with_capacity(machines);
+        dests.extend((0..machines).map(|n| Destination {
+            node: NodeId(n as u32),
+            primary_groups: 0..0,
+            backup_groups: 0..0,
+            lock_ops: 0,
+            lock_bytes: 0,
+            install_ops: 0,
+            install_bytes: 0,
+            backup_ops: 0,
+            backup_bytes: 0,
+            install_claimed: AtomicBool::new(false),
+        }));
+        // Pass 1: sizes, with each role's group count parked in its
+        // range's `end`.
+        let mut listed = 0;
+        for group in &self.groups {
+            let intents = &self.intents[group.intents.clone()];
+            let bytes: usize = intents.iter().map(WriteIntent::wire_bytes).sum();
+            let ops = intents.len() as u64;
+            let row = &mut dests[group.primary.index()];
+            row.primary_groups.end += 1;
+            row.install_ops += ops;
+            row.install_bytes += bytes;
+            for intent in intents.iter().filter(|i| i.needs_lock()) {
+                row.lock_ops += 1;
+                row.lock_bytes += intent.wire_bytes();
+            }
+            for backup in group.backups.iter() {
+                let row = &mut dests[backup.index()];
+                row.backup_groups.end += 1;
+                row.backup_ops += ops;
+                row.backup_bytes += bytes;
+            }
+            listed += 1 + group.backups.len();
+        }
+        dests.retain(|d| d.primary_groups.end + d.backup_groups.end > 0);
+        // Pass 2: turn the counts into empty runs of `group_lists`...
+        let mut offset = 0;
+        for row in &mut dests {
+            let (primaries, backups) = (row.primary_groups.end, row.backup_groups.end);
+            row.primary_groups = offset..offset;
+            row.backup_groups = offset + primaries..offset + primaries;
+            offset += primaries + backups;
+        }
+        // ...and fill them in ascending group order.
+        let mut group_lists = vec![0; listed];
+        for (gi, group) in self.groups.iter().enumerate() {
+            let row = Self::row_mut(&mut dests, group.primary);
+            group_lists[row.primary_groups.end] = gi;
+            row.primary_groups.end += 1;
+            for &backup in group.backups.iter() {
+                let row = Self::row_mut(&mut dests, backup);
+                group_lists[row.backup_groups.end] = gi;
+                row.backup_groups.end += 1;
+            }
+        }
+        self.dests = dests;
+        self.group_lists = group_lists;
+    }
+
+    fn row_mut(dests: &mut [Destination], node: NodeId) -> &mut Destination {
+        let at = dests
+            .binary_search_by_key(&node, |d| d.node)
+            .expect("every routed node has a row");
+        &mut dests[at]
+    }
+
+    /// The destination table, ascending by node id.
+    pub fn dest_table(&self) -> &[Destination] {
+        &self.dests
+    }
+
+    /// Indices of the groups `dest` is primary for, ascending.
+    pub fn primary_groups(&self, dest: &Destination) -> &[usize] {
+        &self.group_lists[dest.primary_groups.clone()]
+    }
+
+    /// Indices of the groups `dest` backs up, ascending.
+    pub fn backup_groups(&self, dest: &Destination) -> &[usize] {
+        &self.group_lists[dest.backup_groups.clone()]
+    }
+
+    /// Every intent, ascending by address.
+    pub fn intents(&self) -> &[WriteIntent] {
+        &self.intents
+    }
+
+    /// The indices (into [`CommitPlan::intents`]) of group `gi`'s intents.
+    pub fn intent_range(&self, gi: usize) -> Range<usize> {
+        self.groups[gi].intents.clone()
+    }
+
+    /// Group `gi`'s intents, ascending by address.
+    pub fn group_intents(&self, gi: usize) -> &[WriteIntent] {
+        &self.intents[self.intent_range(gi)]
+    }
+
+    /// Group `gi`'s LOCK batch: `(addr, expected_ts)` of its lockable
+    /// intents, ascending by address.
+    pub fn lock_entries(&self, gi: usize) -> &[(Addr, u64)] {
+        &self.lock_entries[self.groups[gi].locks.clone()]
+    }
+
+    /// Whether this plan writes, frees or allocates `addr` (used to exclude
+    /// written reads from validation): a binary search of the sorted
+    /// intents.
+    pub fn touches(&self, addr: Addr) -> bool {
+        self.intents.binary_search_by_key(&addr, |i| i.addr).is_ok()
     }
 
     /// The global lock-acquisition order: every lockable address, ascending.
     /// Identical for every coordinator regardless of the order in which the
     /// application issued its writes and frees.
-    pub fn lock_order(&self) -> Vec<Addr> {
-        self.groups
-            .iter()
-            .flat_map(|g| g.intents.iter().filter(|i| i.needs_lock()).map(|i| i.addr))
-            .collect()
-    }
-
-    /// The plan's region groups keyed by destination primary, ascending by
-    /// node id, each destination's group indices ascending (== ascending
-    /// address order within the destination). This is the fan-out unit of
-    /// the pipelined commit phases: one completion-set verb per entry.
-    ///
-    /// Destination counts are tiny (bounded by the cluster size), so this
-    /// accumulates into a sorted `Vec` with linear probing — no per-commit
-    /// tree allocation on the hot path.
-    pub fn groups_by_primary(&self) -> Vec<(NodeId, Vec<usize>)> {
-        let mut by_primary: Vec<(NodeId, Vec<usize>)> = Vec::with_capacity(self.groups.len());
-        for (gi, g) in self.groups.iter().enumerate() {
-            match by_primary.iter_mut().find(|(n, _)| *n == g.primary) {
-                Some((_, idxs)) => idxs.push(gi),
-                None => by_primary.push((g.primary, vec![gi])),
-            }
-        }
-        by_primary.sort_by_key(|(n, _)| *n);
-        by_primary
-    }
-
-    /// Message-level view of the LOCK phase: one batch per destination
-    /// primary, ascending by node id. A destination whose intents are all
-    /// allocs sends no LOCK message and is omitted.
-    pub fn lock_destinations(&self) -> Vec<DestinationBatch> {
-        self.destinations(|g| std::slice::from_ref(&g.primary), |i| i.needs_lock())
-            .into_iter()
-            .map(|(primary, lock_ops, lock_bytes)| DestinationBatch {
-                primary,
-                lock_ops,
-                lock_bytes,
-            })
-            .collect()
-    }
-
-    /// COMMIT-PRIMARY message accounting: every intent (installs and alloc
-    /// initializations), one batch per destination primary.
-    pub fn primary_destinations(&self) -> Vec<(NodeId, u64, usize)> {
-        self.destinations(|g| std::slice::from_ref(&g.primary), |_| true)
-    }
-
-    /// COMMIT-BACKUP / TRUNCATE message accounting: every intent, one batch
-    /// per backup destination.
-    pub fn backup_destinations(&self) -> Vec<(NodeId, u64, usize)> {
-        self.destinations(|g| g.backups.as_slice(), |_| true)
-    }
-
-    /// Aggregates `(ops, wire bytes)` of the intents selected by `keep` for
-    /// each destination named by `nodes_of`, ascending by node id. All
-    /// batched phases derive their per-message accounting from this one
-    /// aggregation so the metrics cannot drift apart. Linear accumulation —
-    /// destination counts are bounded by the cluster size, and this runs
-    /// several times per commit.
-    fn destinations(
-        &self,
-        nodes_of: impl Fn(&RegionGroup) -> &[NodeId],
-        keep: impl Fn(&WriteIntent) -> bool,
-    ) -> Vec<(NodeId, u64, usize)> {
-        let mut out: Vec<(NodeId, u64, usize)> = Vec::new();
-        for g in &self.groups {
-            let (ops, bytes) = g
-                .intents
-                .iter()
-                .filter(|i| keep(i))
-                .fold((0u64, 0usize), |(o, b), i| (o + 1, b + i.wire_bytes()));
-            if ops == 0 {
-                continue;
-            }
-            for &node in nodes_of(g) {
-                match out.iter_mut().find(|(n, ..)| *n == node) {
-                    Some((_, o, b)) => {
-                        *o += ops;
-                        *b += bytes;
-                    }
-                    None => out.push((node, ops, bytes)),
-                }
-            }
-        }
-        out.sort_by_key(|(n, ..)| *n);
-        out
-    }
-
-    /// Addresses written or freed by this plan (used to exclude them from
-    /// read validation).
-    pub fn touches(&self, addr: Addr) -> bool {
-        self.groups
-            .iter()
-            .any(|g| g.region == addr.region && g.intents.iter().any(|i| i.addr == addr))
+    #[cfg(test)]
+    fn lock_order(&self) -> Vec<Addr> {
+        self.lock_entries.iter().map(|&(addr, _)| addr).collect()
     }
 }
 
@@ -401,15 +466,38 @@ mod tests {
         let node = engine.node(NodeId(0));
         let writes: Vec<(Addr, &[u8])> = addrs.iter().map(|&a| (a, &b"abcd"[..])).collect();
         let plan = plan_for(&node, &writes, &[], 0);
-        let dests = plan.lock_destinations();
+        let dests = plan.dest_table();
         let total_ops: u64 = dests.iter().map(|d| d.lock_ops).sum();
         assert_eq!(total_ops as usize, addrs.len());
-        // Each destination appears exactly once.
-        let nodes: std::collections::HashSet<NodeId> = dests.iter().map(|d| d.primary).collect();
-        assert_eq!(nodes.len(), dests.len());
-        for d in &dests {
+        // Each destination appears exactly once, ascending.
+        assert!(dests.windows(2).all(|w| w[0].node < w[1].node));
+        let replicas = engine.cluster().replicas_of(plan.groups[0].region).len() as u64;
+        for d in dests {
             assert_eq!(d.lock_bytes, d.lock_ops as usize * (64 + 4));
+            assert_eq!(d.install_bytes, d.install_ops as usize * (64 + 4));
+            assert_eq!(d.backup_bytes, d.backup_ops as usize * (64 + 4));
+            // Each row's group lists name exactly the groups of its roles.
+            let primary: Vec<usize> = (0..plan.groups.len())
+                .filter(|&gi| plan.groups[gi].primary == d.node)
+                .collect();
+            assert_eq!(plan.primary_groups(d), primary);
+            let backed: Vec<usize> = (0..plan.groups.len())
+                .filter(|&gi| plan.groups[gi].backups.contains(&d.node))
+                .collect();
+            assert_eq!(plan.backup_groups(d), backed);
+            let ops = |gis: &[usize]| -> u64 {
+                gis.iter()
+                    .map(|&gi| plan.group_intents(gi).len() as u64)
+                    .sum()
+            };
+            assert_eq!(d.install_ops, ops(&primary));
+            assert_eq!(d.backup_ops, ops(&backed));
         }
+        // Every object is installed once and backed up by every backup.
+        let installs: u64 = dests.iter().map(|d| d.install_ops).sum();
+        let backups: u64 = dests.iter().map(|d| d.backup_ops).sum();
+        assert_eq!(installs as usize, addrs.len());
+        assert_eq!(backups, installs * (replicas - 1));
         engine.shutdown();
     }
 

@@ -8,13 +8,14 @@
 //! # Fan-out invariant
 //!
 //! Under pipelined dispatch a LOCK phase has verbs in flight to several
-//! destinations at once when one of them fails. The driver **drains every
-//! in-flight sibling before unwinding** (a [`farm_net::CompletionSet`]
-//! never short-circuits), merges all destinations' acquired locks, and
-//! sorts them into ascending global address order — so by the time this
-//! function runs, `locked` is exactly the set of locks the whole fan-out
-//! acquired, and releasing it in reverse releases in descending global
-//! address order, whatever order the destinations completed in. Old
+//! destinations at once when one of them fails. Every issued verb executes
+//! (a [`farm_net::CompletionSet`] runs each verb's work at issue and never
+//! short-circuits), each destination pushes the locks it acquired into the
+//! driver's one lock list, and the driver sorts that list into ascending
+//! global address order — so by the time this function runs, `locked` is
+//! exactly the set of locks the whole fan-out acquired, and releasing it in
+//! reverse releases in descending global address order, whatever order the
+//! destinations ran in. Old
 //! versions copied for locks that are being unwound were never linked into
 //! a version chain (their GC time is still 0), so they are reclaimed with
 //! their block and can never appear as tombstoned history.

@@ -208,25 +208,22 @@ impl NodeEngine {
         if self.installs_len.load(Ordering::Acquire) == 0 {
             return 0;
         }
-        // Take the whole queue under one lock; the installs themselves run
-        // outside it so concurrent enqueuers never wait on install work.
-        let drained: Vec<Arc<PendingInstall>> = self.installs.lock().drain(..).collect();
-        if drained.is_empty() {
-            // Counted but not queued: another drain is applying them.
-            return 0;
-        }
+        // Take the installs queued now, one at a time: the queue keeps its
+        // buffer (no allocation per drain), and the installs run outside
+        // the lock so concurrent enqueuers never wait on install work.
+        let queued = self.installs.lock().len();
         let mut done = 0;
-        for install in &drained {
-            for di in 0..install.dest_count() {
-                if install.install_dest(self, &self.backlog, di) {
-                    done += 1;
-                }
-            }
+        for _ in 0..queued {
+            let Some(install) = self.installs.lock().pop_front() else {
+                // Another drain took the rest.
+                break;
+            };
+            done += install.install_all(self, &self.backlog);
+            // A claimed install stays counted until it is applied, so a
+            // concurrent `quiesce` never mistakes "claimed" for
+            // "installed".
+            self.installs_len.fetch_sub(1, Ordering::Release);
         }
-        // The claimed queue stays counted until it is applied, so a
-        // concurrent `quiesce` never mistakes "claimed" for "installed".
-        self.installs_len
-            .fetch_sub(drained.len(), Ordering::Release);
         done
     }
 

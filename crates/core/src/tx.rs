@@ -2,7 +2,7 @@
 //! allocation and freeing.
 //!
 //! The commit protocol itself lives in [`crate::commit`]: `commit` builds a
-//! [`CommitPlan`] grouping the transaction's sets by destination machine and
+//! commit plan grouping the transaction's sets by destination machine and
 //! hands it to the [`CommitDriver`] phase state machine.
 
 use std::collections::{BTreeMap, HashMap};
@@ -23,13 +23,16 @@ use crate::stats::EngineStats;
 /// outcome (read-only fast path, plan-build failure) or a commit driver
 /// ready to be run synchronously or stepped by a
 /// [`CommitPipeline`](crate::CommitPipeline).
+// The size difference is the point: see `InFlight`.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum PreparedCommit {
     /// The commit was decided without touching the network.
     Done(Result<CommitInfo, TxError>),
     /// The commit protocol must run; the driver owns all bookkeeping
-    /// (active-table withdrawal, statistics) from here on. Boxed: the
-    /// driver carries the whole plan, and a pipeline shuffles these around.
-    InFlight(Box<CommitDriver>),
+    /// (active-table withdrawal, statistics) from here on. Not boxed: it
+    /// moves once, onto the synchronous caller's stack or into a pipeline's
+    /// driver slot, and a box would be one more allocation per commit.
+    InFlight(CommitDriver),
 }
 
 /// Information about a successful commit.
@@ -209,11 +212,11 @@ impl Transaction {
             by_primary.entry(primary).or_default().push((region, idxs));
         }
         // One verb per destination primary; its work closure performs the
-        // destination's region traversals (in that destination's fixed
-        // region/index order, so completions can be re-associated positionally
-        // below), so under threaded dispatch they genuinely overlap.
+        // destination's region traversals at issue (in that destination's
+        // fixed region/index order, so completions can be re-associated
+        // positionally below), while the flights overlap.
         let engine = Arc::clone(&self.engine);
-        let mut set: farm_net::CompletionSet<'_, (Vec<ConsistentRead>, usize)> =
+        let mut set: farm_net::CompletionSet<(Vec<ConsistentRead>, usize)> =
             farm_net::CompletionSet::new(engine.meter.latency_model());
         for (&primary, groups) in &by_primary {
             let work = move || {
@@ -580,7 +583,7 @@ impl Transaction {
         // driver seals, which may happen on another `advance` call when the
         // commit rides a pipeline.
         self.finished = true;
-        PreparedCommit::InFlight(Box::new(CommitDriver::new(
+        PreparedCommit::InFlight(CommitDriver::new(
             Arc::clone(&self.engine),
             self.opts,
             self.read_ts,
@@ -588,7 +591,7 @@ impl Transaction {
             alloc_set,
             plan,
             self.active,
-        )))
+        ))
     }
 
     // ------------------------------------------------------------------

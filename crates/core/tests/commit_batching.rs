@@ -461,3 +461,121 @@ fn cancelled_alloc_with_no_other_intents_returns_its_slot() {
     tx.commit().unwrap();
     engine.shutdown();
 }
+
+/// A cluster of three machines with `regions_per_node` regions each and no
+/// background pass, so only the commit under test meters anything.
+fn engine_with_regions(regions_per_node: usize) -> Arc<Engine> {
+    let config = EngineConfig {
+        gc_interval: std::time::Duration::from_secs(3600),
+        ..EngineConfig::default()
+    };
+    let cluster = ClusterConfig {
+        regions_per_node,
+        ..ClusterConfig::test(3)
+    };
+    Engine::start_cluster(cluster, config)
+}
+
+/// The metering of one commit that mixes every intent kind over three
+/// regions on two primaries whose backups overlap, pinned to the values the
+/// per-phase destination lists produced before the plan computed one
+/// destination table: the table must meter exactly the same messages.
+#[test]
+fn a_multi_region_commit_meters_as_before() {
+    let engine = engine_with_regions(2);
+    let coordinator = NodeId(0);
+    let cluster = engine.cluster();
+    // Regions 1 and 4 on n1 (backed up by n2 and n0), region 2 on n2
+    // (backed up by n0 and n1): n0 backs up all three, n2 is a primary and
+    // a backup.
+    let regions = cluster.regions();
+    let (r1, r2, r4) = (regions[1], regions[2], regions[4]);
+    assert_eq!(cluster.primary_of(r1), Some(NodeId(1)));
+    assert_eq!(cluster.primary_of(r4), Some(NodeId(1)));
+    assert_eq!(cluster.primary_of(r2), Some(NodeId(2)));
+    let a = alloc_in_region(&engine, r1, 2);
+    let b = alloc_in_region(&engine, r4, 2);
+    let c = alloc_in_region(&engine, r2, 2);
+    engine.quiesce();
+
+    let node = engine.node(coordinator);
+    let mut tx = node.begin();
+    tx.write(a[0], vec![1u8; 32]).unwrap();
+    tx.overwrite(a[1], vec![2u8; 8]).unwrap();
+    tx.write(b[0], vec![3u8; 16]).unwrap();
+    tx.free(b[1]).unwrap();
+    tx.alloc_in(r2, vec![4u8; 24]).unwrap();
+    tx.write(c[0], vec![5u8; 48]).unwrap();
+    tx.read(c[1]).unwrap(); // validated, not written
+    let (net_before, stats_before) = (node.handle().stats().snapshot(), node.stats());
+    tx.commit().unwrap();
+    let net = node.handle().stats().snapshot().delta(&net_before);
+    let stats = node.stats().delta(&stats_before);
+
+    let metered: Vec<(u64, u64, u64)> = [
+        Verb::RdmaRead,
+        Verb::RdmaWrite,
+        Verb::HardwareAck,
+        Verb::Rpc,
+    ]
+    .into_iter()
+    .map(|v| (net.count(v), net.ops(v), net.bytes(v)))
+    .collect();
+    assert_eq!(
+        metered,
+        [
+            // VALIDATE: one 16-byte header read at n2.
+            (1, 1, 16),
+            // COMMIT-BACKUP to n0 (6 objects, 512 B), n1 (2, 200 B) and n2
+            // (4, 312 B); COMMIT-PRIMARY to n1 (4, 312 B) and n2 (2, 200 B).
+            (5, 18, 1_536),
+            // The three COMMIT-BACKUP acks.
+            (3, 3, 0),
+            // LOCK to n1 (4 objects, 312 B) and n2 (1, 112 B).
+            (2, 5, 424),
+        ],
+        "(count, ops, bytes) per verb"
+    );
+    assert_eq!(
+        (
+            stats.lock_batches,
+            stats.lock_batch_objects,
+            stats.validate_batches,
+            stats.backup_batches,
+            stats.primary_batches
+        ),
+        (2, 5, 1, 3, 2)
+    );
+    engine.shutdown();
+}
+
+/// The plan puts no cap on the number of region groups: a commit that
+/// touches more than 64 regions commits and sends one LOCK per primary.
+#[test]
+fn a_commit_over_more_than_64_regions_sends_one_lock_per_primary() {
+    let engine = engine_with_regions(24);
+    let regions = engine.cluster().regions();
+    assert!(regions.len() > 64);
+    let addrs: Vec<Addr> = regions
+        .iter()
+        .map(|&r| alloc_in_region(&engine, r, 1)[0])
+        .collect();
+    engine.quiesce();
+
+    let node = engine.node(NodeId(0));
+    let before = node.stats();
+    let delta = commit_delta(&engine, NodeId(0), &addrs);
+    let stats = node.stats().delta(&before);
+    assert_eq!(stats.lock_batches, 3, "one LOCK per primary");
+    assert_eq!(stats.lock_batch_objects, regions.len() as u64);
+    assert_eq!(stats.primary_batches, 3);
+    assert_eq!(delta.count(Verb::Rpc), 3);
+    assert_eq!(delta.ops(Verb::Rpc), regions.len() as u64);
+    engine.quiesce();
+    let mut check = node.begin();
+    for &addr in &addrs {
+        assert_eq!(&check.read(addr).unwrap()[..], &[7u8; 32]);
+    }
+    check.commit().unwrap();
+    engine.shutdown();
+}

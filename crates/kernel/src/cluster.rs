@@ -2,7 +2,7 @@
 //! failover.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -135,6 +135,9 @@ pub struct Cluster {
     nodes: Vec<Arc<NodeHandle>>,
     faults: Arc<FaultPlane>,
     config_store: Arc<ConfigStore>,
+    /// The current configuration's epoch, raised by the configuration CAS:
+    /// the one-load read a commit fences itself with.
+    epoch: AtomicU64,
     placement: RwLock<Placement>,
     /// Regions currently draining for a reconfiguration: new transactions on
     /// them are rejected (retryably) until promotions and log replays finish.
@@ -200,6 +203,7 @@ impl Cluster {
             last_cm_response: Mutex::new(vec![now; cfg.nodes]),
             nodes,
             faults,
+            epoch: AtomicU64::new(config_store.read().epoch),
             config_store,
             placement: RwLock::new(placement),
             blocked_regions: RwLock::new(HashSet::new()),
@@ -264,6 +268,13 @@ impl Cluster {
         self.config_store.read()
     }
 
+    /// The current configuration's epoch: [`Cluster::current_config`]'s
+    /// `epoch` without copying the record. It rises by one with every
+    /// committed reconfiguration, before any placement changes.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
     /// A snapshot of the current placement.
     pub fn placement(&self) -> Placement {
         self.placement.read().clone()
@@ -279,7 +290,8 @@ impl Cluster {
         self.placement.read().assignment(region).map(|a| a.primary)
     }
 
-    /// The current primary and backups of a region, from one placement read.
+    /// The current primary and backups of a region, from one placement read
+    /// (the backups are shared, not copied).
     pub fn assignment_of(&self, region: RegionId) -> Option<RegionAssignment> {
         self.placement.read().assignment(region).cloned()
     }
@@ -374,6 +386,11 @@ impl Cluster {
     /// Performs one control round on behalf of every live machine. Normally
     /// invoked by the background control thread; tests may call it directly.
     pub fn control_round(&self) {
+        // The expiry check below measures silence up to the start of this
+        // round: one thread runs every member's renewal, so a member renewed
+        // in this round was heard from after this instant, however long the
+        // thread is descheduled before the check.
+        let round_start = Instant::now();
         let config = self.config_store.read();
         let cm = config.cm;
         // Non-CM duties first: lease renewal (carrying OAT/GC and clock
@@ -404,7 +421,7 @@ impl Cluster {
         }
         // CM-side duties: update its own OAT entries and detect expired
         // leases.
-        let now = Instant::now();
+        let now = round_start;
         if self.nodes[cm.index()].is_alive() {
             {
                 let mut lease = self.cm_lease.lock();
@@ -577,6 +594,7 @@ impl Cluster {
                 Ok(c) => c,
                 Err(_) => return false, // lost the race; the winner handles recovery
             };
+        self.epoch.store(new_config.epoch, Ordering::Release);
 
         if cm_failed {
             self.clock_failover(&new_config, config.cm, &failed);
@@ -898,6 +916,30 @@ mod tests {
         // Clocks still enabled everywhere that survived.
         assert!(cluster.node(NodeId(0)).clock().is_enabled());
         assert!(cluster.node(NodeId(1)).clock().is_enabled());
+    }
+
+    #[test]
+    fn a_round_that_outlasts_the_lease_suspects_no_member_it_renewed() {
+        // A lease far shorter than one control round: every renewal is
+        // older than the lease by the time the round reaches its expiry
+        // check, as when the one control thread is descheduled mid-round.
+        let mut cfg = ClusterConfig::test(5);
+        cfg.lease_expiry = Duration::from_nanos(1);
+        let cluster = Cluster::start(cfg);
+        for _ in 0..8 {
+            cluster.control_round();
+        }
+        let config = cluster.current_config();
+        assert_eq!(config.epoch, 1, "a renewed member was suspected");
+        assert!(cluster.nodes().iter().all(|n| n.is_alive()));
+        // A member that stops renewing is still suspected.
+        cluster.kill(NodeId(3));
+        std::thread::sleep(Duration::from_millis(1));
+        cluster.control_round();
+        let config = cluster.current_config();
+        assert_eq!(config.epoch, 2);
+        assert!(!config.contains(NodeId(3)));
+        assert_eq!(config.members.len(), 4);
     }
 
     #[test]

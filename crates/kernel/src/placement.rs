@@ -1,6 +1,7 @@
 //! Region placement: which machine is primary and which are backups.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use farm_memory::RegionId;
 use farm_net::NodeId;
@@ -10,8 +11,10 @@ use farm_net::NodeId;
 pub struct RegionAssignment {
     /// The primary replica's machine.
     pub primary: NodeId,
-    /// Backup replicas' machines, in order.
-    pub backups: Vec<NodeId>,
+    /// Backup replicas' machines, in order. Shared: handing an assignment
+    /// to a committing transaction is a reference-count bump, not a copy;
+    /// a placement change replaces the list.
+    pub backups: Arc<[NodeId]>,
 }
 
 impl RegionAssignment {
@@ -49,7 +52,7 @@ impl Placement {
         let total_regions = regions_per_node * n;
         for r in 0..total_regions {
             let primary = nodes[r % n];
-            let backups: Vec<NodeId> = (1..replication).map(|k| nodes[(r + k) % n]).collect();
+            let backups = (1..replication).map(|k| nodes[(r + k) % n]).collect();
             assignments.insert(RegionId(r as u16), RegionAssignment { primary, backups });
         }
         Placement { assignments }
@@ -89,15 +92,16 @@ impl Placement {
     pub fn remove_node(&mut self, failed: NodeId) -> Vec<(RegionId, NodeId)> {
         let mut promotions = Vec::new();
         for (region, a) in self.assignments.iter_mut() {
+            let mut survivors = a.backups.iter().copied().filter(|&b| b != failed);
             if a.primary == failed {
-                a.backups.retain(|b| *b != failed);
-                if let Some(new_primary) = a.backups.first().copied() {
+                if let Some(new_primary) = survivors.next() {
                     a.primary = new_primary;
-                    a.backups.remove(0);
                     promotions.push((*region, new_primary));
                 }
-            } else {
-                a.backups.retain(|b| *b != failed);
+            }
+            let survivors: Arc<[NodeId]> = survivors.collect();
+            if survivors.len() != a.backups.len() {
+                a.backups = survivors;
             }
         }
         promotions.sort();
@@ -124,7 +128,7 @@ impl Placement {
     pub fn add_backup(&mut self, region: RegionId, node: NodeId) {
         if let Some(a) = self.assignments.get_mut(&region) {
             if !a.involves(node) {
-                a.backups.push(node);
+                a.backups = a.backups.iter().copied().chain([node]).collect();
             }
         }
     }
@@ -147,7 +151,7 @@ mod tests {
         }
         let a = p.assignment(RegionId(1)).unwrap();
         assert_eq!(a.primary, NodeId(1));
-        assert_eq!(a.backups, vec![NodeId(2), NodeId(3)]);
+        assert_eq!(a.backups[..], [NodeId(2), NodeId(3)]);
         assert_eq!(a.replicas(), vec![NodeId(1), NodeId(2), NodeId(3)]);
         assert!(a.involves(NodeId(3)));
         assert!(!a.involves(NodeId(0)));
@@ -161,7 +165,7 @@ mod tests {
         assert_eq!(promotions, vec![(RegionId(0), NodeId(1))]);
         let a = p.assignment(RegionId(0)).unwrap();
         assert_eq!(a.primary, NodeId(1));
-        assert_eq!(a.backups, vec![NodeId(2)]);
+        assert_eq!(a.backups[..], [NodeId(2)]);
         // Other regions simply lose node 0 as a backup.
         let under = p.under_replicated(3);
         assert_eq!(under.len(), 3);

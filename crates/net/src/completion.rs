@@ -7,19 +7,21 @@
 //! `Σ latency`. This module reproduces that structure for the simulated
 //! substrate:
 //!
-//! * [`CompletionSet::issue`] registers one verb per destination, computing
-//!   a **completion deadline** from the [`LatencyModel`] at issue time and
-//!   capturing a *work closure* — the destination-side processing of the
-//!   message (lock acquisition, header snapshots, install stores). Closures
-//!   borrow from the caller (they are scoped, not `'static`).
-//! * [`CompletionSet::complete`] drains the set: it executes every closure
-//!   inline on the caller's thread (in issue order, so lock-acquisition order
-//!   stays deterministic), then waits **once** until the latest completion
-//!   deadline, returning the per-destination results **in issue order** —
-//!   including results of destinations that failed, so a coordinator can
-//!   always account for every lock its fan-out acquired before it unwinds.
+//! * [`CompletionSet::issue`] posts one verb to one destination: it computes
+//!   the verb's **completion deadline** from the [`LatencyModel`] and runs
+//!   its *work closure* — the destination-side processing of the message
+//!   (lock acquisition, header snapshots, install stores) — right there, on
+//!   the caller's thread, storing the result. Verbs therefore execute in
+//!   issue order (so lock-acquisition order stays deterministic), and a
+//!   closure may borrow anything the caller can, mutably included: it is
+//!   done before `issue` returns.
+//! * [`CompletionSet::complete`] collects the set: it waits **once**, until
+//!   the latest completion deadline, and returns the per-destination
+//!   results **in issue order** — including results of destinations that
+//!   failed, so a coordinator can always account for every lock its fan-out
+//!   acquired before it unwinds.
 //!
-//! The set always drains fully: there is no early-out on the first error,
+//! Every issued verb executes: there is no early-out on the first error,
 //! mirroring the fact that a coordinator cannot recall messages already on
 //! the wire — it must collect (or time out) every completion before it can
 //! release locks safely.
@@ -33,7 +35,8 @@ use crate::{LatencyModel, NetStats, NodeId, Verb};
 /// frozen `benchmark/` names it; both go in the next benchmark-correcting PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// Closures run inline in issue order; one wait at the latest deadline.
+    /// Work runs inline at issue, in issue order; one wait at the latest
+    /// deadline.
     #[default]
     Concurrent,
 }
@@ -47,88 +50,72 @@ pub struct Completion<R> {
     pub value: R,
 }
 
-/// One issued-but-not-completed verb.
-struct PendingVerb<'env, R> {
-    dest: NodeId,
-    /// When the verb completes (issue time + latency). `None` for verbs
-    /// with no injected latency (local bypass, or a zero latency model) —
-    /// they complete immediately, and skipping the clock read keeps the
-    /// default zero-latency configuration free of per-verb `Instant::now`
-    /// calls on the hot path.
-    deadline: Option<Instant>,
-    work: Box<dyn FnOnce() -> R + 'env>,
-}
-
 /// A set of in-flight verbs awaiting completion. See the module docs.
-pub struct CompletionSet<'env, R> {
+pub struct CompletionSet<R> {
     model: LatencyModel,
     /// The clock read shared by every latency-bearing verb in the set: a
     /// coordinator posts a phase's messages back to back, so one issue
     /// timestamp serves them all — K issues cost one `Instant::now`, not K.
     issued_at: Option<Instant>,
-    pending: Vec<PendingVerb<'env, R>>,
+    /// The latest completion deadline so far. `None` while every verb has
+    /// no injected latency (local bypass, or a zero latency model) — such
+    /// verbs complete immediately, and skipping the clock read keeps the
+    /// default zero-latency configuration free of per-verb `Instant::now`
+    /// calls on the hot path.
+    deadline: Option<Instant>,
+    /// The issued verbs' results, in issue order.
+    done: Vec<Completion<R>>,
 }
 
-impl<'env, R> CompletionSet<'env, R> {
+impl<R> CompletionSet<R> {
     /// Creates an empty set paying latency per `model`.
     pub fn new(model: LatencyModel) -> Self {
         CompletionSet {
             model,
             issued_at: None,
-            pending: Vec::new(),
+            deadline: None,
+            done: Vec::new(),
         }
     }
 
     /// Issues `verb` to `dest`: the completion deadline is the set's issue
-    /// time plus the model's latency for the verb, and `work` is the
-    /// destination-side processing executed before the completion is
-    /// reported.
-    pub fn issue(&mut self, dest: NodeId, verb: Verb, work: impl FnOnce() -> R + 'env) {
+    /// time plus the model's latency for the verb, and `work` — the
+    /// destination-side processing — runs now, its result reported when the
+    /// set completes.
+    pub fn issue(&mut self, dest: NodeId, verb: Verb, work: impl FnOnce() -> R) {
         let latency_ns = self.model.verb_ns(verb);
-        let deadline = if latency_ns == 0 {
-            None
-        } else {
+        if latency_ns > 0 {
             let issued_at = *self.issued_at.get_or_insert_with(Instant::now);
-            Some(issued_at + std::time::Duration::from_nanos(latency_ns))
-        };
-        self.pending.push(PendingVerb {
-            dest,
-            deadline,
-            work: Box::new(work),
-        });
+            let deadline = issued_at + std::time::Duration::from_nanos(latency_ns);
+            self.deadline = self.deadline.max(Some(deadline));
+        }
+        self.issue_local(dest, work);
     }
 
     /// Issues a **local-bypass** operation: the "destination" is the caller's
     /// own machine, so no wire latency applies — the work still rides the
     /// set so phase logic stays uniform and results stay in issue order.
-    pub fn issue_local(&mut self, dest: NodeId, work: impl FnOnce() -> R + 'env) {
-        self.pending.push(PendingVerb {
+    pub fn issue_local(&mut self, dest: NodeId, work: impl FnOnce() -> R) {
+        self.done.push(Completion {
             dest,
-            deadline: None,
-            work: Box::new(work),
+            value: work(),
         });
     }
 
     /// Number of verbs currently in flight.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.done.len()
     }
 
     /// Whether no verb is in flight.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.done.is_empty()
     }
 
-    /// The latest completion deadline among the in-flight verbs (`None`
-    /// when every pending verb completes immediately).
-    pub fn max_deadline(&self) -> Option<Instant> {
-        self.pending.iter().filter_map(|p| p.deadline).max()
-    }
-
-    /// Drains the set: executes every work closure, then waits until the
-    /// latest completion deadline, reporting the in-flight high-water mark
-    /// to `stats`. Results are returned in issue order, one per issued verb —
-    /// failures do not short-circuit the drain (encode them in `R`).
+    /// Completes the set: waits until the latest completion deadline,
+    /// reporting the in-flight high-water mark to `stats`. Results are
+    /// returned in issue order, one per issued verb — failures do not
+    /// short-circuit anything (encode them in `R`).
     ///
     /// Callers that interleave their own waiting with the flight window
     /// (e.g. a commit pipeline overlapping a clock uncertainty wait with
@@ -143,38 +130,29 @@ impl<'env, R> CompletionSet<'env, R> {
         out
     }
 
-    /// Drains the set's **work** without paying the final deadline wait:
-    /// every closure runs now, in issue order, and the latest completion
-    /// deadline is returned to the caller, who owns the wait. This is the
-    /// primitive behind per-thread commit pipelining: one thread issues the
-    /// phases of several transactions and multiplexes their deadlines,
-    /// sleeping only until the earliest one instead of blocking inside each
-    /// set.
+    /// Completes the set **without paying the final deadline wait**: the
+    /// results (every closure already ran, at issue) and the latest
+    /// completion deadline are returned to the caller, who owns the wait.
+    /// This is the primitive behind per-thread commit pipelining: one thread
+    /// issues the phases of several transactions and multiplexes their
+    /// deadlines, sleeping only until the earliest one instead of blocking
+    /// inside each set.
     pub fn complete_deferred(
         self,
         _mode: DispatchMode,
         stats: Option<&NetStats>,
     ) -> (Vec<Completion<R>>, Option<Instant>) {
         if let Some(stats) = stats {
-            stats.note_inflight(self.pending.len() as u64);
+            stats.note_inflight(self.done.len() as u64);
         }
-        let deadline = self.max_deadline();
-        let out = self
-            .pending
-            .into_iter()
-            .map(|p| Completion {
-                dest: p.dest,
-                value: (p.work)(),
-            })
-            .collect();
-        (out, deadline)
+        (self.done, self.deadline)
     }
 }
 
-impl<R> std::fmt::Debug for CompletionSet<'_, R> {
+impl<R> std::fmt::Debug for CompletionSet<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompletionSet")
-            .field("pending", &self.pending.len())
+            .field("pending", &self.done.len())
             .finish()
     }
 }
@@ -231,8 +209,8 @@ mod tests {
 
     #[test]
     fn failures_do_not_short_circuit_the_drain() {
-        // Every closure runs even when an earlier one "fails" — the set
-        // drains in-flight siblings so the caller can unwind safely.
+        // Every closure runs even when an earlier one "fails" — every
+        // issued verb executes, so the caller can unwind safely.
         let ran = AtomicU64::new(0);
         let mut set: CompletionSet<Result<u32, &'static str>> =
             CompletionSet::new(LatencyModel::zero());
@@ -296,6 +274,30 @@ mod tests {
         let deadline = deadline.expect("non-zero latency yields a deadline");
         m.wait_until(deadline);
         assert!(t.elapsed() >= Duration::from_micros(290));
+    }
+
+    #[test]
+    fn work_runs_at_issue_in_issue_order() {
+        // The destination-side work is done by the time `issue` returns, so
+        // a closure may even borrow the caller's state mutably.
+        let mut log = Vec::new();
+        let mut set: CompletionSet<usize> = CompletionSet::new(model(300));
+        for i in 0..3 {
+            set.issue(NodeId(i), Verb::Rpc, || {
+                log.push(i);
+                log.len()
+            });
+            assert_eq!(log.len(), i as usize + 1, "verb {i} ran at issue");
+        }
+        set.issue_local(NodeId(9), || {
+            log.push(9);
+            log.len()
+        });
+        assert_eq!(log, [0, 1, 2, 9]);
+        let (out, deadline) = set.complete_deferred(DispatchMode::Concurrent, None);
+        assert!(deadline.is_some());
+        let values: Vec<usize> = out.iter().map(|c| c.value).collect();
+        assert_eq!(values, [1, 2, 3, 4]);
     }
 
     #[test]

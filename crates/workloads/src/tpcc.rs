@@ -140,43 +140,49 @@ impl TpccDatabase {
             new_orders: BTree::create(engine, NodeId(0)),
             order_lines: BTree::create(engine, NodeId(0)),
         };
+        // Each load transaction runs under `run_transaction`: a put that
+        // reads a slot still locked by the previous load transaction's
+        // pending install, claimed by a descheduled background drain,
+        // aborts retryably (`ReadLockedObject`) and is retried instead of
+        // failing the load.
+        let opts = TxOptions::default();
         // Item catalog.
-        {
-            let mut tx = engine.node(NodeId(0)).begin();
+        engine.node(NodeId(0)).run_transaction(opts, |tx| {
             for i in 0..config.items {
                 // (price, data)
                 db.item.put(
-                    &mut tx,
+                    tx,
                     &item_key(i),
                     &enc_u64s(&[(i as u64 % 100) + 1, i as u64]),
                 )?;
             }
-            tx.commit()?;
-        }
+            Ok(())
+        })?;
         // Per-warehouse data, loaded from the node that will coordinate it.
         for w in 0..warehouses {
-            let node = NodeId(w % nodes);
-            let mut tx = engine.node(node).begin();
-            // (ytd)
-            db.warehouse.put(&mut tx, &wh_key(w), &enc_u64s(&[0]))?;
-            for d in 0..config.districts_per_warehouse {
-                // (next_o_id, ytd)
-                db.district
-                    .put(&mut tx, &district_key(w, d), &enc_u64s(&[1, 0]))?;
-                for c in 0..config.customers_per_district {
-                    // (balance, payments, deliveries)
-                    db.customer
-                        .put(&mut tx, &customer_key(w, d, c), &enc_u64s(&[1_000, 0, 0]))?;
+            let node = engine.node(NodeId(w % nodes));
+            node.run_transaction(opts, |tx| {
+                // (ytd)
+                db.warehouse.put(tx, &wh_key(w), &enc_u64s(&[0]))?;
+                for d in 0..config.districts_per_warehouse {
+                    // (next_o_id, ytd)
+                    db.district
+                        .put(tx, &district_key(w, d), &enc_u64s(&[1, 0]))?;
+                    for c in 0..config.customers_per_district {
+                        // (balance, payments, deliveries)
+                        db.customer
+                            .put(tx, &customer_key(w, d, c), &enc_u64s(&[1_000, 0, 0]))?;
+                    }
                 }
-            }
-            tx.commit()?;
-            let mut tx = engine.node(node).begin();
-            for i in 0..config.items {
-                // (quantity, ytd)
-                db.stock
-                    .put(&mut tx, &stock_key(w, i), &enc_u64s(&[100, 0]))?;
-            }
-            tx.commit()?;
+                Ok(())
+            })?;
+            node.run_transaction(opts, |tx| {
+                for i in 0..config.items {
+                    // (quantity, ytd)
+                    db.stock.put(tx, &stock_key(w, i), &enc_u64s(&[100, 0]))?;
+                }
+                Ok(())
+            })?;
         }
         Ok(db)
     }
