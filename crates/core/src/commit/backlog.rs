@@ -566,7 +566,7 @@ impl Backlog {
 mod tests {
     use std::time::Duration;
 
-    use farm_kernel::ClusterConfig;
+    use farm_kernel::{Cluster, ClusterConfig};
 
     use super::*;
     use crate::engine::Engine;
@@ -627,5 +627,53 @@ mod tests {
         assert_eq!(&check.read(addr).unwrap()[..], &[2u8; 16]);
         check.commit().unwrap();
         engine.shutdown();
+    }
+
+    #[test]
+    fn catch_up_region_replays_other_live_logs_without_regressing_or_consuming_them() {
+        let cluster = Cluster::start(ClusterConfig::test(4));
+        let backlog = Backlog::new(cluster.nodes().to_vec());
+        let region = cluster.regions()[0];
+        let (owner, new_backup) = (NodeId(1), NodeId(3));
+        let at = |slot| Addr {
+            region,
+            slab: 0,
+            slot,
+        };
+        let (fresh, copied) = (at(1), at(2));
+        let record = |write_ts, intents: &[Addr]| LogEntry {
+            coordinator: NodeId(0),
+            write_ts,
+            intents: intents
+                .iter()
+                .map(|&addr| RecordIntent {
+                    addr,
+                    free: false,
+                    data: Bytes::from(vec![write_ts as u8; 16]),
+                    slab_size: 16,
+                })
+                .collect(),
+        };
+        // The paced state copy already gave the new backup `copied` at 30.
+        let replica = cluster.node(new_backup).regions().ensure(region);
+        replica.apply_replicated(copied, 16, 30, &Bytes::from(vec![30u8; 16]), false);
+        // Another live node's log still holds older records of both objects.
+        backlog.deposit(owner, record(10, &[fresh, copied]));
+        backlog.deposit(owner, record(20, &[fresh]));
+
+        assert_eq!(backlog.catch_up_region(region, new_backup), 3);
+        let state = |addr| {
+            let slot = replica.slot(addr).expect("slot materialized");
+            (slot.header_snapshot().ts, slot.raw_data()[0])
+        };
+        assert_eq!(state(fresh), (20, 20), "the newest logged record applies");
+        assert_eq!(
+            state(copied),
+            (30, 30),
+            "an older record overwrote the copy"
+        );
+        // Truncation still has to apply the entries at their owner.
+        assert_eq!(backlog.log_len(owner), 2);
+        cluster.shutdown();
     }
 }

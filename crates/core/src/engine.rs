@@ -24,7 +24,11 @@ use crate::tx::{CommitInfo, Transaction};
 // `NodeEngine::run_transaction`'s bounded exponential backoff. It rides out
 // both ordinary conflicts and a full lease-expiry + reconfiguration window,
 // so a machine failure shows up to the application as latency rather than
-// an error.
+// an error. Each back-off waits on the cluster's reconfiguration
+// generation: a reconfiguration lifting its drain barrier ends it early and
+// restarts the next at the base; a timed-out one doubles. The generation is
+// read before `begin` and re-checked under the wait's mutex, so no wake-up
+// is lost.
 const RETRY_MAX_ATTEMPTS: u32 = 64;
 const RETRY_BASE_BACKOFF: Duration = Duration::from_micros(50);
 const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(5);
@@ -140,6 +144,15 @@ impl NodeEngine {
     /// reconfiguration, by which time a promoted backup serves the affected
     /// regions again.
     ///
+    /// A back-off is a wait on the cluster's reconfiguration generation
+    /// ([`Cluster::wait_for_reconfiguration`]), not a plain sleep: a
+    /// reconfiguration that lifts its drain barrier wakes it at once, and
+    /// the back-off then restarts at its 50 µs base, because the cause is
+    /// gone. A wait that times out doubles it as before, so conflict aborts
+    /// keep the timer grid. No wake-up is lost: the generation is read
+    /// (one Acquire load, no lock) before each attempt's `begin`, and the
+    /// wait re-checks it under the mutex it rises under.
+    ///
     /// `body` must be idempotent up to the transaction (it may run several
     /// times, each against a fresh snapshot). Returns the body's value and
     /// the commit info of the attempt that committed.
@@ -152,6 +165,7 @@ impl NodeEngine {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
+            let generation = self.cluster.reconfiguration_generation();
             let result = {
                 let mut tx = self.begin_with(opts);
                 match body(&mut tx) {
@@ -165,8 +179,11 @@ impl NodeEngine {
                 Ok(out) => return Ok(out),
                 Err(e) if e.is_retryable() && attempt < RETRY_MAX_ATTEMPTS => {
                     EngineStats::bump(&self.stats.retries_absorbed);
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(RETRY_MAX_BACKOFF);
+                    backoff = if self.cluster.wait_for_reconfiguration(generation, backoff) {
+                        RETRY_BASE_BACKOFF
+                    } else {
+                        (backoff * 2).min(RETRY_MAX_BACKOFF)
+                    };
                 }
                 Err(e) => return Err(e),
             }
@@ -732,6 +749,69 @@ mod tests {
             err,
             TxError::Aborted(AbortReason::SnapshotTooStale { .. })
         ));
+        engine.shutdown();
+    }
+
+    /// A transaction retrying against a dead primary is woken by the
+    /// reconfiguration that lifts the drain barrier, not at the end of the
+    /// 5 ms back-off it is in, and its back-off restarts at the base: the
+    /// body aborts itself twice more once the region is served again, which
+    /// from the base costs 50 + 100 µs of back-off, not two capped 5 ms.
+    #[test]
+    fn a_reconfiguration_wakes_a_retrying_transaction_and_restarts_its_backoff() {
+        use std::time::Instant;
+
+        let engine = Engine::start_cluster(ClusterConfig::test(4), EngineConfig::default());
+        let cluster = Arc::clone(engine.cluster());
+        let (victim, survivor) = (NodeId(1), NodeId(0));
+        let region = cluster
+            .regions()
+            .into_iter()
+            .find(|&r| cluster.primary_of(r) == Some(victim))
+            .expect("a region whose primary is n1");
+        let node = engine.node(survivor);
+        let mut setup = node.begin();
+        let addr = setup.alloc_in(region, vec![7u8; 8]).unwrap();
+        setup.commit().unwrap();
+        engine.quiesce();
+
+        cluster.kill(victim);
+        let retrier = {
+            let node = Arc::clone(&node);
+            std::thread::spawn(move || {
+                let mut served_at = Vec::new();
+                let result = node.run_transaction(TxOptions::default(), |tx| {
+                    let value = tx.read(addr)?;
+                    served_at.push(Instant::now());
+                    if served_at.len() <= 2 {
+                        return Err(TxError::Aborted(AbortReason::LockConflict(addr)));
+                    }
+                    tx.write(addr, value.to_vec())
+                });
+                (result, served_at, Instant::now())
+            })
+        };
+        // Seven absorbed retries have waited 50 µs doubling to 3.2 ms; the
+        // eighth waits the 5 ms cap.
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while node.stats().retries_absorbed < 8 {
+            assert!(Instant::now() < give_up, "the retrier never backed off");
+            std::thread::yield_now();
+        }
+        let reconfiguring = Instant::now();
+        assert!(cluster.initiate_reconfiguration(survivor, &[victim]));
+        let (result, served_at, returned_at) = retrier.join().unwrap();
+        result.expect("the transaction commits under the new configuration");
+        let woken_after = served_at[0] - reconfiguring;
+        assert!(
+            woken_after < Duration::from_micros(2_500),
+            "the retrier slept out its back-off: served {woken_after:?} after the reconfiguration"
+        );
+        let after_wake = returned_at - served_at[0];
+        assert!(
+            after_wake < Duration::from_micros(2_500),
+            "the back-off did not restart at its base: two more retries took {after_wake:?}"
+        );
         engine.shutdown();
     }
 }

@@ -3,7 +3,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -145,6 +145,16 @@ pub struct Cluster {
     /// O(1) emptiness check so the hot `is_region_blocked` path costs one
     /// atomic load while no reconfiguration is running.
     blocked_count: AtomicUsize,
+    /// How many times a reconfiguration has lifted its drain barrier. Raised
+    /// (Release) only while `lifted_wake`'s mutex is held, so a waiter that
+    /// re-checks it under that mutex cannot miss the `notify_all` that
+    /// follows; a reader that sees a rise (Acquire) also sees the cleared
+    /// `blocked_count` stored before it.
+    lifted: AtomicU64,
+    /// What [`Cluster::wait_for_reconfiguration`] sleeps on. A `std` pair:
+    /// the mutex guards no data, only the rise of `lifted`, so a poisoned
+    /// lock is simply taken over.
+    lifted_wake: (std::sync::Mutex<()>, Condvar),
     events: EventLog,
     hooks: RwLock<Arc<dyn RecoveryHooks>>,
     cm_lease: Mutex<CmLeaseState>,
@@ -208,6 +218,8 @@ impl Cluster {
             placement: RwLock::new(placement),
             blocked_regions: RwLock::new(HashSet::new()),
             blocked_count: AtomicUsize::new(0),
+            lifted: AtomicU64::new(0),
+            lifted_wake: (std::sync::Mutex::new(()), Condvar::new()),
             events: EventLog::new(),
             hooks: RwLock::new(Arc::new(NoHooks)),
             reconfig_lock: Mutex::new(()),
@@ -355,16 +367,61 @@ impl Cluster {
     }
 
     /// Lifts the drain barrier (all blocked regions at once: promotions and
-    /// their log replays have finished by the time this runs).
+    /// their log replays have finished by the time this runs), then raises
+    /// the reconfiguration generation and wakes every
+    /// [`Cluster::wait_for_reconfiguration`] — also when nothing was
+    /// blocked, since the configuration a retrier failed under may still
+    /// have changed.
     fn unblock_all_regions(&self) {
-        let mut blocked = self.blocked_regions.write();
-        if blocked.is_empty() {
-            return;
+        {
+            let mut blocked = self.blocked_regions.write();
+            if !blocked.is_empty() {
+                let count = blocked.len();
+                blocked.clear();
+                self.blocked_count.store(0, Ordering::Release);
+                self.events.record(EventKind::RegionsUnblocked { count });
+            }
         }
-        let count = blocked.len();
-        blocked.clear();
-        self.blocked_count.store(0, Ordering::Release);
-        self.events.record(EventKind::RegionsUnblocked { count });
+        let (lock, wake) = &self.lifted_wake;
+        let guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.lifted.fetch_add(1, Ordering::Release);
+        drop(guard);
+        wake.notify_all();
+    }
+
+    /// The reconfiguration generation: how many times a reconfiguration has
+    /// lifted its drain barrier. One Acquire load. Read it before an
+    /// attempt and hand it to [`Cluster::wait_for_reconfiguration`] after a
+    /// retryable abort.
+    pub fn reconfiguration_generation(&self) -> u64 {
+        self.lifted.load(Ordering::Acquire)
+    }
+
+    /// Sleeps for up to `timeout`, returning early — with `true` — once the
+    /// reconfiguration generation has moved past `seen` (at once if it
+    /// already has). Returns `false` when the timeout ran out first.
+    ///
+    /// No wake-up is lost: the generation is re-checked under the mutex it
+    /// rises under, so a rise is either seen by that check or happens after
+    /// the waiter has parked on the condition variable, which the rise then
+    /// notifies.
+    pub fn wait_for_reconfiguration(&self, seen: u64, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let (lock, wake) = &self.lifted_wake;
+        let mut guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if self.lifted.load(Ordering::Acquire) != seen {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            guard = wake
+                .wait_timeout(guard, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
     }
 
     /// Stops the control thread and any background re-replication.
@@ -1139,6 +1196,33 @@ mod tests {
             .position(|e| matches!(e.kind, EventKind::RegionPromoted { .. }))
             .expect("promotion recorded");
         assert!(promoted_at < unblocked_at);
+    }
+
+    #[test]
+    fn lifting_the_drain_barrier_wakes_reconfiguration_waiters() {
+        let cluster = Cluster::start(ClusterConfig::test(4));
+        let seen = cluster.reconfiguration_generation();
+        assert!(!cluster.wait_for_reconfiguration(seen, Duration::from_millis(1)));
+        let waiter = {
+            let cluster = Arc::clone(&cluster);
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                let woken = cluster.wait_for_reconfiguration(seen, Duration::from_secs(30));
+                (woken, started.elapsed())
+            })
+        };
+        // Give the waiter time to park; had it not, it would still see the
+        // rise when it re-checks under the mutex.
+        std::thread::sleep(Duration::from_millis(5));
+        cluster.kill(NodeId(1));
+        assert!(cluster.initiate_reconfiguration(NodeId(0), &[NodeId(1)]));
+        let (woken, waited) = waiter.join().unwrap();
+        assert!(woken, "the waiter timed out");
+        assert!(waited < Duration::from_secs(10), "woken late: {waited:?}");
+        // A generation already passed returns at once, whatever the timeout.
+        assert!(cluster.reconfiguration_generation() > seen);
+        assert!(cluster.wait_for_reconfiguration(seen, Duration::from_secs(30)));
+        cluster.shutdown();
     }
 
     #[test]

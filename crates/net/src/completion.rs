@@ -187,24 +187,32 @@ mod tests {
 
     #[test]
     fn concurrent_pays_max_not_sum() {
-        // Four 2 ms verbs cost one latency (≈ 2 ms), not four (≈ 8 ms). The
-        // latency is long so that sleep overshoot on a busy host stays well
-        // inside the 2× margin.
+        // Four 2 ms verbs cost one latency, not four: the set's deadline is
+        // less than two latencies after the first issue. Read off the
+        // deadline, not the wall clock, so a sleep that overshoots on a busy
+        // host cannot fail it.
+        let latency = Duration::from_millis(2);
+        let issue_four = || {
+            let mut set: CompletionSet<()> = CompletionSet::new(model(2_000));
+            for i in 0..4 {
+                set.issue(NodeId(i), Verb::Rpc, || ());
+            }
+            set
+        };
         let t = Instant::now();
-        let mut set: CompletionSet<()> = CompletionSet::new(model(2_000));
-        for i in 0..4 {
-            set.issue(NodeId(i), Verb::Rpc, || ());
-        }
-        set.complete(DispatchMode::Concurrent, None);
+        let (_, deadline) = issue_four().complete_deferred(DispatchMode::Concurrent, None);
+        let deadline = deadline.expect("latency-bearing verbs have a deadline");
+        assert!(deadline >= t + latency, "deadline before one latency");
+        assert!(
+            deadline < t + 2 * latency,
+            "paid more than one latency for four verbs: {:?}",
+            deadline - t
+        );
+        // `complete` does pay the wait.
+        let t = Instant::now();
+        issue_four().complete(DispatchMode::Concurrent, None);
         let elapsed = t.elapsed();
-        assert!(
-            elapsed >= Duration::from_millis(2),
-            "skipped the deadline wait: {elapsed:?}"
-        );
-        assert!(
-            elapsed < Duration::from_millis(4),
-            "paid more than one latency for four verbs: {elapsed:?}"
-        );
+        assert!(elapsed >= latency, "skipped the deadline wait: {elapsed:?}");
     }
 
     #[test]
