@@ -16,19 +16,10 @@ impl Timestamp {
     /// as the "aborted" GC time of old versions (Section 4.5).
     pub const ZERO: Timestamp = Timestamp(0);
 
-    /// Maximum value representable in the 53-bit header field.
-    pub const MAX_HEADER: Timestamp = Timestamp((1u64 << 53) - 1);
-
     /// Raw nanoseconds value.
     #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Whether this timestamp fits in the 53-bit object-header field.
-    #[inline]
-    pub fn fits_header(self) -> bool {
-        self.0 <= Self::MAX_HEADER.0
     }
 
     /// Saturating addition of a nanosecond delta.
@@ -138,13 +129,6 @@ mod tests {
         let e = TimeInterval::exact(42);
         assert_eq!(e.uncertainty(), 0);
         assert_eq!(e.lower, e.upper);
-    }
-
-    #[test]
-    fn timestamp_header_packing() {
-        assert!(Timestamp(0).fits_header());
-        assert!(Timestamp::MAX_HEADER.fits_header());
-        assert!(!Timestamp((1 << 53) + 1).fits_header());
     }
 
     #[test]

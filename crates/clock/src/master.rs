@@ -68,11 +68,6 @@ impl MasterState {
         let now = clock.now_ns();
         self.anchor_master + now.saturating_sub(self.anchor_local)
     }
-
-    /// The master time this state was anchored at (its enable point).
-    pub fn anchor(&self) -> u64 {
-        self.anchor_master
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +95,6 @@ mod tests {
         assert_eq!(m.master_time(&shared), 50_000);
         c.advance(1_234);
         assert_eq!(m.master_time(&shared), 51_234);
-        assert_eq!(m.anchor(), 50_000);
     }
 
     #[test]

@@ -262,7 +262,7 @@ impl NodeClock {
     /// Waits until the lower bound of the current time interval has passed
     /// `target`, i.e. until `target` is guaranteed to be in the past at the
     /// clock master (Figure 5). Returns the local nanoseconds spent waiting.
-    pub fn wait_until_past(&self, target: u64) -> u64 {
+    fn wait_until_past(&self, target: u64) -> u64 {
         let start = self.clock.now_ns();
         let mut spins = 0u32;
         loop {

@@ -80,12 +80,6 @@ impl Synchronizer {
         self.drift_ppm
     }
 
-    /// True if at least one synchronization has been recorded; `time()` is
-    /// meaningless before that.
-    pub fn is_synchronized(&self) -> bool {
-        self.s_lower.is_some() && self.s_upper.is_some()
-    }
-
     /// Records a completed synchronization, keeping it only if it improves
     /// the lower bound and/or the upper bound at `local_now` (the `SYNC`
     /// function of Figure 2).
@@ -201,7 +195,6 @@ mod tests {
     fn time_is_none_until_first_sync() {
         let sync = Synchronizer::new(EPS, 0);
         assert!(sync.time(123).is_none());
-        assert!(!sync.is_synchronized());
     }
 
     #[test]

@@ -409,7 +409,7 @@ impl CommitDriver {
     /// configuration epoch has moved since the plan resolved its routing.
     /// A plan with no groups touches no region and needs no fence.
     fn fence(&mut self) -> Result<(), TxError> {
-        if self.engine.cluster().epoch() == self.plan.epoch {
+        if self.engine.cluster().view().config.epoch == self.plan.epoch {
             return Ok(());
         }
         match self.plan.groups.first().map(|g| g.region) {

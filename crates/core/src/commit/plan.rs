@@ -218,11 +218,12 @@ impl CommitPlan {
         // Ascending addresses are ascending regions, so each region's
         // intents form one run: split the runs into groups, resolving each
         // group's routing (primary, backups, the primary's replica, slab
-        // size classes) once, here. The epoch is read first, so a
-        // reconfiguration that changes any of it also changes the epoch
-        // the driver fences on.
+        // size classes) once, here. The epoch, the drain check and every
+        // group's routing come from one cluster view, so a reconfiguration
+        // that removes a node from any of them also changes the epoch the
+        // driver fences on.
         intents.sort_unstable_by_key(|i| i.addr);
-        let epoch = engine.cluster().epoch();
+        let view = engine.cluster().view();
         let same_region = |a: &WriteIntent, b: &WriteIntent| a.addr.region == b.addr.region;
         let regions = intents.chunk_by(same_region).count();
         let lockable = intents.iter().filter(|i| i.needs_lock()).count();
@@ -232,7 +233,7 @@ impl CommitPlan {
         for run in intents.chunk_by_mut(same_region) {
             let probe = run[0].addr;
             let (assignment, region_handle) = engine
-                .route_of(probe)
+                .route_of(view, probe)
                 .map_err(|_| AbortReason::RegionUnavailable(probe))?;
             let locks_start = lock_entries.len();
             for intent in run.iter_mut() {
@@ -246,7 +247,7 @@ impl CommitPlan {
             groups.push(RegionGroup {
                 region: probe.region,
                 primary: assignment.primary,
-                backups: assignment.backups,
+                backups: Arc::clone(&assignment.backups),
                 region_handle,
                 intents: start..start + run.len(),
                 locks: locks_start..lock_entries.len(),
@@ -254,7 +255,7 @@ impl CommitPlan {
             start += run.len();
         }
         let mut plan = CommitPlan {
-            epoch,
+            epoch: view.config.epoch,
             intents,
             lock_entries,
             groups,
@@ -471,7 +472,7 @@ mod tests {
         assert_eq!(total_ops as usize, addrs.len());
         // Each destination appears exactly once, ascending.
         assert!(dests.windows(2).all(|w| w[0].node < w[1].node));
-        let replicas = engine.cluster().replicas_of(plan.groups[0].region).len() as u64;
+        let replicas = 1 + plan.groups[0].backups.len() as u64;
         for d in dests {
             assert_eq!(d.lock_bytes, d.lock_ops as usize * (64 + 4));
             assert_eq!(d.install_bytes, d.install_ops as usize * (64 + 4));

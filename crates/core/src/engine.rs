@@ -8,7 +8,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use farm_kernel::{
-    Cluster, ConfigRecord, EventKind, EventLog, NodeHandle, RecoveryHooks, RegionAssignment,
+    Cluster, ClusterView, ConfigRecord, EventKind, EventLog, NodeHandle, RecoveryHooks,
+    RegionAssignment,
 };
 use farm_memory::{Addr, Region, RegionId};
 use farm_net::{CompletionSet, DispatchMode, NodeId, OneSidedMeter, Verb};
@@ -320,7 +321,7 @@ impl NodeEngine {
     /// locality-aware allocation (FaRM exploits locality by co-locating the
     /// coordinator with the primaries it writes).
     pub fn home_region(&self) -> Option<RegionId> {
-        self.cluster.primaries_on(self.id).into_iter().next()
+        self.cluster.view().placement.primaries_of(self.id).next()
     }
 
     // ------------------------------------------------------------------
@@ -360,40 +361,29 @@ impl NodeEngine {
     /// both clear within one reconfiguration, so a retry loop rides them
     /// out.
     pub(crate) fn primary_region_of(&self, addr: Addr) -> Result<(NodeId, Arc<Region>), TxError> {
-        self.check_unblocked(addr)?;
-        let primary = self
-            .cluster
-            .primary_of(addr.region)
-            .ok_or(TxError::Aborted(AbortReason::BadAddress(addr)))?;
-        Ok((primary, self.serving_replica(addr, primary)?))
+        let (assignment, region) = self.route_of(self.cluster.view(), addr)?;
+        Ok((assignment.primary, region))
     }
 
-    /// [`NodeEngine::primary_region_of`] plus the region's backups, from one
-    /// placement read: the commit plan's routing.
-    pub(crate) fn route_of(&self, addr: Addr) -> Result<(RegionAssignment, Arc<Region>), TxError> {
-        self.check_unblocked(addr)?;
-        let assignment = self
-            .cluster
-            .assignment_of(addr.region)
-            .ok_or(TxError::Aborted(AbortReason::BadAddress(addr)))?;
-        let region = self.serving_replica(addr, assignment.primary)?;
-        Ok((assignment, region))
-    }
-
-    fn check_unblocked(&self, addr: Addr) -> Result<(), TxError> {
-        if self.cluster.is_region_blocked(addr.region) {
+    /// [`NodeEngine::primary_region_of`] plus the region's backups, from
+    /// `view`: the commit plan's routing.
+    pub(crate) fn route_of<'v>(
+        &self,
+        view: &'v ClusterView,
+        addr: Addr,
+    ) -> Result<(&'v RegionAssignment, Arc<Region>), TxError> {
+        if view.is_draining(addr.region) {
             return Err(TxError::Aborted(AbortReason::Reconfiguring(addr.region)));
         }
-        Ok(())
-    }
-
-    /// The replica of `addr`'s region at `primary`, if that node is alive.
-    fn serving_replica(&self, addr: Addr, primary: NodeId) -> Result<Arc<Region>, TxError> {
-        let node = self.cluster.node(primary);
+        let assignment = view
+            .placement
+            .assignment(addr.region)
+            .ok_or(TxError::Aborted(AbortReason::BadAddress(addr)))?;
+        let node = self.cluster.node(assignment.primary);
         if !node.is_alive() {
             return Err(TxError::Aborted(AbortReason::NodeUnavailable(addr)));
         }
-        Ok(node.regions().ensure(addr.region))
+        Ok((assignment, node.regions().ensure(addr.region)))
     }
 }
 

@@ -116,16 +116,6 @@ impl TxOptions {
             ..Self::default()
         }
     }
-
-    /// Non-strict snapshot isolation (the configuration of the Section 5.6
-    /// comparison).
-    pub fn snapshot_isolation_non_strict() -> Self {
-        TxOptions {
-            isolation: IsolationLevel::SnapshotIsolation,
-            strict: false,
-            write_hint: false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,8 +132,6 @@ mod tests {
         let si = TxOptions::snapshot_isolation();
         assert_eq!(si.isolation, IsolationLevel::SnapshotIsolation);
         assert!(si.strict);
-        let nssi = TxOptions::snapshot_isolation_non_strict();
-        assert!(!nssi.strict);
     }
 
     #[test]

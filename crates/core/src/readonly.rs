@@ -78,7 +78,7 @@ impl ParallelQuery {
     }
 
     /// Starts a slave transaction on `node` reading at the master's snapshot.
-    pub fn slave_on(&self, node: NodeId) -> Result<Transaction, TxError> {
+    fn slave_on(&self, node: NodeId) -> Result<Transaction, TxError> {
         self.engine.node(node).begin_stale_readonly(self.read_ts)
     }
 

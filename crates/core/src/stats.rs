@@ -173,11 +173,6 @@ impl EngineStatsSnapshot {
             + self.aborts_oldver_memory
     }
 
-    /// Mean commit-time uncertainty wait in nanoseconds.
-    pub fn mean_write_wait_ns(&self) -> f64 {
-        ratio(self.write_wait_ns, self.write_waits)
-    }
-
     /// Mean number of objects per LOCK batch (0 when no batches were sent).
     pub fn mean_lock_batch_size(&self) -> f64 {
         ratio(self.lock_batch_objects, self.lock_batches)
@@ -241,9 +236,9 @@ mod tests {
         assert_eq!((snap.commits(), snap.aborts()), (98, 2));
         snap.write_waits = 4;
         snap.write_wait_ns = 40_000;
-        assert_eq!(snap.mean_write_wait_ns(), 10_000.0);
+        assert_eq!(ratio(snap.write_wait_ns, snap.write_waits), 10_000.0);
         let idle = EngineStatsSnapshot::default();
-        assert_eq!(idle.mean_write_wait_ns(), 0.0);
+        assert_eq!(ratio(idle.write_wait_ns, idle.write_waits), 0.0);
     }
 
     #[test]

@@ -470,7 +470,7 @@ impl Transaction {
         let region = self
             .engine
             .home_region()
-            .or_else(|| self.engine.cluster().regions().into_iter().next())
+            .or_else(|| self.engine.cluster().view().placement.regions().next())
             .ok_or(TxError::AllocationFailed)?;
         self.alloc_in(region, data)
     }

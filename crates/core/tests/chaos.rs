@@ -469,7 +469,12 @@ fn all_regions_of_a_dead_primary_promote_and_replay() {
         },
     );
     let victim = NodeId(1);
-    let regions = engine.cluster().primaries_on(victim);
+    let regions: Vec<_> = engine
+        .cluster()
+        .view()
+        .placement
+        .primaries_of(victim)
+        .collect();
     assert_eq!(regions.len(), 2, "victim should be primary for two regions");
 
     // One object per victim region, fully settled.
@@ -542,7 +547,13 @@ fn commit_racing_kill_keeps_liveness_atomic() {
         },
     );
     let victim = NodeId(1);
-    let region = engine.cluster().primaries_on(victim)[0];
+    let region = engine
+        .cluster()
+        .view()
+        .placement
+        .primaries_of(victim)
+        .next()
+        .unwrap();
     let committer_node = engine.node(NodeId(0));
     let mut setup = committer_node.begin();
     let addr = setup.alloc_in(region, 0u64.to_le_bytes().to_vec()).unwrap();

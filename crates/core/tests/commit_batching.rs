@@ -72,7 +72,8 @@ fn k_writes_to_one_primary_issue_one_lock_message() {
         "8 lock ops in 1 message"
     );
     // COMMIT-BACKUP and COMMIT-PRIMARY are one RDMA write per destination.
-    let backups = engine.cluster().replicas_of(region).len() as u64 - 1;
+    let placement = &engine.cluster().view().placement;
+    let backups = placement.assignment(region).unwrap().backups.len() as u64;
     assert_eq!(stats.backup_batches, backups);
     assert_eq!(delta.count(Verb::RdmaWrite), backups + 1);
     assert_eq!(delta.ops(Verb::RdmaWrite), (backups + 1) * 8);

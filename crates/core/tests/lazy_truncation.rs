@@ -30,6 +30,12 @@ fn remote_region(engine: &Arc<Engine>, coordinator: NodeId) -> RegionId {
         .expect("multi-node cluster has a remote region")
 }
 
+/// The current backups of `region`.
+fn backups_of(engine: &Arc<Engine>, region: RegionId) -> Vec<NodeId> {
+    let placement = &engine.cluster().view().placement;
+    placement.assignment(region).unwrap().backups.to_vec()
+}
+
 /// The committed version visible at `node`'s replica of `addr`'s region
 /// (0 when the replica has no slab/slot yet).
 fn replica_ts(engine: &Arc<Engine>, node: NodeId, addr: Addr) -> u64 {
@@ -48,12 +54,7 @@ fn steady_traffic_piggybacks_every_truncation() {
     let engine = quiet_engine(3, EngineConfig::default());
     let node = engine.node(NodeId(0));
     let region = remote_region(&engine, NodeId(0));
-    let backups: Vec<NodeId> = engine
-        .cluster()
-        .replicas_of(region)
-        .into_iter()
-        .skip(1)
-        .collect();
+    let backups = backups_of(&engine, region);
     assert!(!backups.is_empty());
 
     let mut setup = node.begin();
@@ -102,12 +103,7 @@ fn idle_watermarks_flush_and_never_regress() {
     let engine = Engine::start_cluster(ClusterConfig::test(3), config);
     let node = engine.node(NodeId(0));
     let region = remote_region(&engine, NodeId(0));
-    let backups: Vec<NodeId> = engine
-        .cluster()
-        .replicas_of(region)
-        .into_iter()
-        .skip(1)
-        .collect();
+    let backups = backups_of(&engine, region);
 
     let mut setup = node.begin();
     let addr = setup.alloc_in(region, vec![0u8; 32]).unwrap();
@@ -157,12 +153,7 @@ fn abort_unwind_does_not_lose_an_earlier_truncate() {
     let node0 = engine.node(NodeId(0));
     let node2 = engine.node(NodeId(2));
     let region = remote_region(&engine, NodeId(0));
-    let backups: Vec<NodeId> = engine
-        .cluster()
-        .replicas_of(region)
-        .into_iter()
-        .skip(1)
-        .collect();
+    let backups = backups_of(&engine, region);
 
     let mut setup = node0.begin();
     let x = setup.alloc_in(region, vec![0u8; 32]).unwrap();
@@ -223,13 +214,13 @@ fn primary_killed_between_early_ack_and_install_loses_nothing() {
     let node0 = engine.node(NodeId(0));
 
     // A region whose primary is node 1.
-    let region = engine
-        .cluster()
-        .primaries_on(NodeId(1))
-        .into_iter()
+    let view = engine.cluster().view();
+    let region = view
+        .placement
+        .primaries_of(NodeId(1))
         .next()
         .expect("node 1 hosts a primary");
-    let original_replicas = engine.cluster().replicas_of(region);
+    let original_replicas = view.placement.assignment(region).unwrap().replicas();
     let mut setup = node0.begin();
     let addr = setup.alloc_in(region, vec![0x11u8; 64]).unwrap();
     setup.commit().unwrap();

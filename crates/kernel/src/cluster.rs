@@ -1,12 +1,12 @@
 //! Cluster assembly, lease-driven control loop, reconfiguration and clock
 //! failover.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use arc_swap::ArcSwap;
 use farm_clock::{ClockConfig, DriftClock, MonotonicClock, NodeClock, SharedClock, SyncSample};
 use farm_memory::{OldVersionStore, RegionConfig, RegionId, RegionStore};
 use farm_net::{FaultPlane, NetStats, NodeId, Verb};
@@ -15,7 +15,8 @@ use parking_lot::{Mutex, RwLock};
 use crate::config::{ConfigRecord, ConfigStore};
 use crate::events::{EventKind, EventLog};
 use crate::node::NodeHandle;
-use crate::placement::{Placement, RegionAssignment};
+use crate::placement::Placement;
+use crate::view::ClusterView;
 
 /// Hooks with which the transaction engine reacts to control-plane events.
 pub trait RecoveryHooks: Send + Sync {
@@ -120,9 +121,13 @@ impl ClusterConfig {
     }
 }
 
-struct CmLeaseState {
-    /// Last lease renewal seen from each member.
+/// The failure detector's bookkeeping, kept beside the view: it changes
+/// every control round, the view only at a reconfiguration.
+struct Leases {
+    /// Last lease renewal the CM saw from each member.
     last_seen: Vec<Instant>,
+    /// Last successful lease response each non-CM saw from the CM.
+    last_reply: Vec<Instant>,
     /// Latest `OAT_local` reported by each member.
     oat_local: Vec<u64>,
     /// Latest `GC_local` reported by each member.
@@ -134,22 +139,15 @@ pub struct Cluster {
     cfg: ClusterConfig,
     nodes: Vec<Arc<NodeHandle>>,
     faults: Arc<FaultPlane>,
-    config_store: Arc<ConfigStore>,
-    /// The current configuration's epoch, raised by the configuration CAS:
-    /// the one-load read a commit fences itself with.
-    epoch: AtomicU64,
-    placement: RwLock<Placement>,
-    /// Regions currently draining for a reconfiguration: new transactions on
-    /// them are rejected (retryably) until promotions and log replays finish.
-    blocked_regions: RwLock<HashSet<RegionId>>,
-    /// O(1) emptiness check so the hot `is_region_blocked` path costs one
-    /// atomic load while no reconfiguration is running.
-    blocked_count: AtomicUsize,
+    config_store: ConfigStore,
+    /// The published cluster state. Only `initiate_reconfiguration` stores
+    /// it, under `reconfig_lock`, at most five times per reconfiguration.
+    view: ArcSwap<ClusterView>,
     /// How many times a reconfiguration has lifted its drain barrier. Raised
     /// (Release) only while `lifted_wake`'s mutex is held, so a waiter that
     /// re-checks it under that mutex cannot miss the `notify_all` that
-    /// follows; a reader that sees a rise (Acquire) also sees the cleared
-    /// `blocked_count` stored before it.
+    /// follows; a reader that sees a rise (Acquire) also sees the view with
+    /// the barrier lifted, published before it.
     lifted: AtomicU64,
     /// What [`Cluster::wait_for_reconfiguration`] sleeps on. A `std` pair:
     /// the mutex guards no data, only the rise of `lifted`, so a poisoned
@@ -157,9 +155,7 @@ pub struct Cluster {
     lifted_wake: (std::sync::Mutex<()>, Condvar),
     events: EventLog,
     hooks: RwLock<Arc<dyn RecoveryHooks>>,
-    cm_lease: Mutex<CmLeaseState>,
-    /// Last successful lease response observed by each non-CM.
-    last_cm_response: Mutex<Vec<Instant>>,
+    leases: Mutex<Leases>,
     reconfig_lock: Mutex<()>,
     stop: Arc<AtomicBool>,
     control_thread: Mutex<Option<JoinHandle<()>>>,
@@ -201,23 +197,24 @@ impl Cluster {
             );
             nodes.push(Arc::new(handle));
         }
-        let placement = Placement::initial(&node_ids, cfg.regions_per_node, cfg.replication);
-        let config_store = Arc::new(ConfigStore::new(node_ids.clone(), NodeId(0)));
+        let config_store = ConfigStore::new(node_ids.clone(), NodeId(0));
+        let view = ClusterView {
+            config: config_store.read(),
+            placement: Placement::initial(&node_ids, cfg.regions_per_node, cfg.replication),
+            draining: Vec::new(),
+        };
         let now = Instant::now();
         let cluster = Arc::new(Cluster {
-            cm_lease: Mutex::new(CmLeaseState {
+            leases: Mutex::new(Leases {
                 last_seen: vec![now; cfg.nodes],
+                last_reply: vec![now; cfg.nodes],
                 oat_local: vec![0; cfg.nodes],
                 gc_local: vec![0; cfg.nodes],
             }),
-            last_cm_response: Mutex::new(vec![now; cfg.nodes]),
             nodes,
             faults,
-            epoch: AtomicU64::new(config_store.read().epoch),
             config_store,
-            placement: RwLock::new(placement),
-            blocked_regions: RwLock::new(HashSet::new()),
-            blocked_count: AtomicUsize::new(0),
+            view: ArcSwap::from_pointee(view),
             lifted: AtomicU64::new(0),
             lifted_wake: (std::sync::Mutex::new(()), Condvar::new()),
             events: EventLog::new(),
@@ -275,51 +272,26 @@ impl Cluster {
         &self.events
     }
 
+    /// The current cluster view: configuration, placement and drain
+    /// barrier from one wait-free load. The borrow stays valid while the
+    /// cluster lives, also after a reconfiguration publishes the next view.
+    pub fn view(&self) -> &ClusterView {
+        self.view.load()
+    }
+
     /// The current configuration record.
-    pub fn current_config(&self) -> ConfigRecord {
-        self.config_store.read()
+    pub fn current_config(&self) -> &ConfigRecord {
+        &self.view().config
     }
 
-    /// The current configuration's epoch: [`Cluster::current_config`]'s
-    /// `epoch` without copying the record. It rises by one with every
-    /// committed reconfiguration, before any placement changes.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// A snapshot of the current placement.
-    pub fn placement(&self) -> Placement {
-        self.placement.read().clone()
-    }
-
-    /// All region ids.
+    /// All region ids, ascending.
     pub fn regions(&self) -> Vec<RegionId> {
-        self.placement.read().regions()
+        self.view().placement.regions().collect()
     }
 
     /// The current primary of a region, if the region exists.
     pub fn primary_of(&self, region: RegionId) -> Option<NodeId> {
-        self.placement.read().assignment(region).map(|a| a.primary)
-    }
-
-    /// The current primary and backups of a region, from one placement read
-    /// (the backups are shared, not copied).
-    pub fn assignment_of(&self, region: RegionId) -> Option<RegionAssignment> {
-        self.placement.read().assignment(region).cloned()
-    }
-
-    /// The current replica set of a region.
-    pub fn replicas_of(&self, region: RegionId) -> Vec<NodeId> {
-        self.placement
-            .read()
-            .assignment(region)
-            .map(|a| a.replicas())
-            .unwrap_or_default()
-    }
-
-    /// Regions whose primary is currently `node`.
-    pub fn primaries_on(&self, node: NodeId) -> Vec<RegionId> {
-        self.placement.read().primaries_of(node)
+        self.view().placement.assignment(region).map(|a| a.primary)
     }
 
     /// Registers the transaction engine's recovery hooks.
@@ -340,47 +312,26 @@ impl Cluster {
         self.faults.kill_with(node, || handle.mark_dead());
     }
 
-    /// Whether `region` is currently blocked by an in-progress
-    /// reconfiguration (drain barrier). One atomic load when no
-    /// reconfiguration is running.
-    pub fn is_region_blocked(&self, region: RegionId) -> bool {
-        if self.blocked_count.load(Ordering::Acquire) == 0 {
-            return false;
-        }
-        self.blocked_regions.read().contains(&region)
+    /// Publishes the next view: the current one with `edit` applied. Only
+    /// `initiate_reconfiguration` calls it, under `reconfig_lock`, so no
+    /// other store can slip in between the load and the store.
+    fn publish(&self, edit: impl FnOnce(&mut ClusterView)) {
+        let mut next = self.view().clone();
+        edit(&mut next);
+        self.view.store(Arc::new(next));
     }
 
-    /// Blocks new transactions on `regions` for the duration of a
-    /// reconfiguration.
-    fn block_regions(&self, regions: &[RegionId]) {
-        if regions.is_empty() {
-            return;
-        }
-        let mut blocked = self.blocked_regions.write();
-        for r in regions {
-            blocked.insert(*r);
-        }
-        self.blocked_count.store(blocked.len(), Ordering::Release);
-        self.events.record(EventKind::RegionsBlocked {
-            count: blocked.len(),
-        });
-    }
-
-    /// Lifts the drain barrier (all blocked regions at once: promotions and
+    /// Lifts the drain barrier (all draining regions at once: promotions and
     /// their log replays have finished by the time this runs), then raises
     /// the reconfiguration generation and wakes every
     /// [`Cluster::wait_for_reconfiguration`] — also when nothing was
-    /// blocked, since the configuration a retrier failed under may still
+    /// draining, since the configuration a retrier failed under may still
     /// have changed.
     fn unblock_all_regions(&self) {
-        {
-            let mut blocked = self.blocked_regions.write();
-            if !blocked.is_empty() {
-                let count = blocked.len();
-                blocked.clear();
-                self.blocked_count.store(0, Ordering::Release);
-                self.events.record(EventKind::RegionsUnblocked { count });
-            }
+        let count = self.view().draining.len();
+        if count > 0 {
+            self.publish(|view| view.draining.clear());
+            self.events.record(EventKind::RegionsUnblocked { count });
         }
         let (lock, wake) = &self.lifted_wake;
         let guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
@@ -448,7 +399,7 @@ impl Cluster {
         // in this round was heard from after this instant, however long the
         // thread is descheduled before the check.
         let round_start = Instant::now();
-        let config = self.config_store.read();
+        let config = self.current_config();
         let cm = config.cm;
         // Non-CM duties first: lease renewal (carrying OAT/GC and clock
         // sync). Doing renewals before the expiry check means a live member
@@ -460,10 +411,8 @@ impl Cluster {
             }
             let ok = self.lease_exchange(member, cm);
             if !ok {
-                let elapsed = {
-                    let last = self.last_cm_response.lock();
-                    Instant::now().duration_since(last[member.index()])
-                };
+                let last_reply = self.leases.lock().last_reply[member.index()];
+                let elapsed = Instant::now().duration_since(last_reply);
                 if elapsed > self.cfg.lease_expiry {
                     // Only cut the round short if the eviction actually
                     // committed a new configuration; a declined attempt (a
@@ -480,14 +429,11 @@ impl Cluster {
         // leases.
         let now = round_start;
         if self.nodes[cm.index()].is_alive() {
-            {
-                let mut lease = self.cm_lease.lock();
+            let expired: Vec<NodeId> = {
+                let mut lease = self.leases.lock();
                 lease.oat_local[cm.index()] = self.nodes[cm.index()].oat_local();
                 lease.gc_local[cm.index()] = self.nodes[cm.index()].gc_local();
                 lease.last_seen[cm.index()] = now;
-            }
-            let expired: Vec<NodeId> = {
-                let lease = self.cm_lease.lock();
                 config
                     .members
                     .iter()
@@ -518,19 +464,18 @@ impl Cluster {
         let oat_local = member_node.oat_local();
         let gc_local_of_member = member_node.gc_local();
         let (oat_cm, gc_cm) = {
-            let mut lease = self.cm_lease.lock();
+            let mut lease = self.leases.lock();
             lease.last_seen[member.index()] = Instant::now();
             lease.oat_local[member.index()] = oat_local;
             lease.gc_local[member.index()] = gc_local_of_member;
-            let config = self.config_store.read();
-            let live: Vec<usize> = config
+            let live = self
+                .current_config()
                 .members
                 .iter()
-                .filter(|m| self.nodes[m.index()].is_alive())
                 .map(|m| m.index())
-                .collect();
-            let oat_cm = live.iter().map(|&i| lease.oat_local[i]).min().unwrap_or(0);
-            let gc_cm = live.iter().map(|&i| lease.gc_local[i]).min().unwrap_or(0);
+                .filter(|&i| self.nodes[i].is_alive());
+            let oat_cm = live.clone().map(|i| lease.oat_local[i]).min().unwrap_or(0);
+            let gc_cm = live.map(|i| lease.gc_local[i]).min().unwrap_or(0);
             (oat_cm, gc_cm)
         };
         // Clock synchronization piggybacked on the lease exchange.
@@ -551,8 +496,7 @@ impl Cluster {
                 t_recv,
             });
         }
-        let mut last = self.last_cm_response.lock();
-        last[member.index()] = Instant::now();
+        self.leases.lock().last_reply[member.index()] = Instant::now();
         true
     }
 
@@ -570,7 +514,8 @@ impl Cluster {
             Some(g) => g,
             None => return false, // another reconfiguration is already in progress
         };
-        let config = self.config_store.read();
+        let view = self.view();
+        let config = &view.config;
         // Precise membership: a new configuration can only be committed by a
         // node that can reach a majority of the current one (the paper's
         // reconfiguration protocol collects acks from a majority before the
@@ -607,24 +552,22 @@ impl Cluster {
             let handle = &self.nodes[f.index()];
             self.faults.kill_with(f, || handle.mark_dead());
         }
-        // Drain barrier: block new transactions on every region the failed
-        // nodes participate in. The barrier lifts (via the guard, so every
-        // exit path unblocks) once promotions and their log replays are
-        // done; in-flight transactions against a dead primary abort
+        // Drain barrier (first view): block new transactions on every region
+        // the failed nodes participate in. The barrier lifts (via the guard,
+        // so every exit path unblocks) once promotions and their log replays
+        // are done; in-flight transactions against a dead primary abort
         // retryably in the meantime.
-        let affected: Vec<RegionId> = {
-            let placement = self.placement.read();
-            placement
-                .regions()
-                .into_iter()
-                .filter(|r| {
-                    placement
-                        .assignment(*r)
-                        .is_some_and(|a| failed.iter().any(|f| a.involves(*f)))
-                })
-                .collect()
-        };
-        self.block_regions(&affected);
+        let draining: Vec<RegionId> = view
+            .placement
+            .iter()
+            .filter(|(_, a)| failed.iter().any(|f| a.involves(*f)))
+            .map(|(r, _)| r)
+            .collect();
+        if !draining.is_empty() {
+            let count = draining.len();
+            self.publish(|view| view.draining = draining);
+            self.events.record(EventKind::RegionsBlocked { count });
+        }
         struct UnblockGuard<'a>(&'a Cluster);
         impl Drop for UnblockGuard<'_> {
             fn drop(&mut self) {
@@ -643,15 +586,16 @@ impl Cluster {
         }
         let cm_failed = failed.contains(&config.cm);
         let new_cm = if cm_failed { initiator } else { config.cm };
-        let new_config =
-            match self
-                .config_store
-                .compare_and_swap(config.epoch, new_members.clone(), new_cm)
-            {
-                Ok(c) => c,
-                Err(_) => return false, // lost the race; the winner handles recovery
-            };
-        self.epoch.store(new_config.epoch, Ordering::Release);
+        let new_config = match self
+            .config_store
+            .compare_and_swap(config.epoch, new_members, new_cm)
+        {
+            Ok(c) => c,
+            Err(_) => return false, // lost the race; the winner handles recovery
+        };
+        // Second view: the committed configuration, which the commits
+        // planned under the old one fence on.
+        self.publish(|view| view.config = new_config.clone());
 
         if cm_failed {
             self.clock_failover(&new_config, config.cm, &failed);
@@ -661,14 +605,9 @@ impl Cluster {
         // whose renewals were delayed by the reconfiguration itself.
         {
             let now = Instant::now();
-            let mut lease = self.cm_lease.lock();
-            for t in lease.last_seen.iter_mut() {
-                *t = now;
-            }
-            let mut last = self.last_cm_response.lock();
-            for t in last.iter_mut() {
-                *t = now;
-            }
+            let mut lease = self.leases.lock();
+            lease.last_seen.fill(now);
+            lease.last_reply.fill(now);
         }
         self.events.record(EventKind::ConfigCommitted {
             epoch: new_config.epoch,
@@ -676,15 +615,14 @@ impl Cluster {
         });
         self.hooks.read().on_config_committed(&new_config);
 
-        // Placement updates: promote backups for regions that lost their
-        // primary, then restore redundancy in the background.
+        // Third view: promote backups for regions that lost their primary
+        // (redundancy is restored in the background afterwards).
         let mut promotions = Vec::new();
-        {
-            let mut placement = self.placement.write();
+        self.publish(|view| {
             for &f in &failed {
-                promotions.extend(placement.remove_node(f));
+                promotions.extend(view.placement.remove_node(f));
             }
-        }
+        });
         for (region, new_primary) in &promotions {
             // The new primary rebuilds allocator state by scanning headers.
             if let Some(replica) = self.nodes[new_primary.index()].regions().get(*region) {
@@ -697,11 +635,11 @@ impl Cluster {
             self.hooks.read().on_region_promoted(*region, *new_primary);
         }
         // Promotions (and their redo-log replays, run by the hook above) are
-        // complete: lift the drain barrier before the paced background
-        // re-replication starts, so availability is restored as soon as
-        // every affected region has a live primary again.
+        // complete: lift the drain barrier (fourth view) before the paced
+        // background re-replication starts, so availability is restored as
+        // soon as every affected region has a live primary again.
         drop(unblock);
-        self.spawn_rereplication(new_config);
+        self.spawn_rereplication(&new_config);
         true
     }
 
@@ -765,93 +703,81 @@ impl Cluster {
 
     /// Spawns paced background re-replication restoring the replication
     /// factor of under-replicated regions.
-    fn spawn_rereplication(&self, config: ConfigRecord) {
-        let under: Vec<(RegionId, usize)> =
-            self.placement.read().under_replicated(self.cfg.replication);
-        if under.is_empty() {
-            self.events.record(EventKind::RereplicationComplete);
-            return;
-        }
-        let nodes = self.nodes.clone();
-        let events = self.events.clone();
-        let pace = self.cfg.rereplication_pace;
-        // The placement metadata is updated inline (it is cheap); only the
-        // data copy — the part the paper paces to protect foreground work —
-        // runs on the background thread.
-        let mut new_backups: Vec<(RegionId, NodeId)> = Vec::new();
-        {
-            let mut placement = self.placement.write();
-            for (region, _count) in &under {
-                let assignment = match placement.assignment(*region) {
-                    Some(a) => a.clone(),
-                    None => continue,
-                };
-                // Pick the first live member not already holding a replica.
-                let candidate = config
-                    .members
-                    .iter()
-                    .copied()
-                    .find(|m| self.nodes[m.index()].is_alive() && !assignment.involves(*m));
-                if let Some(backup) = candidate {
-                    placement.add_backup(*region, backup);
-                    new_backups.push((*region, backup));
-                }
-            }
-        }
+    fn spawn_rereplication(&self, config: &ConfigRecord) {
+        // The placement metadata is updated inline (the fifth view; it is
+        // cheap); only the data copy — the part the paper paces to protect
+        // foreground work — runs on the background thread. Each region
+        // takes the first live member not already holding a replica, and
+        // is copied from its current primary.
+        let placement = &self.view().placement;
+        let under = placement.under_replicated(self.cfg.replication);
+        let new_backups: Vec<(RegionId, NodeId, NodeId)> = under
+            .into_iter()
+            .filter_map(|(region, _count)| {
+                let a = placement.assignment(region)?;
+                let spare = |m: &NodeId| self.nodes[m.index()].is_alive() && !a.involves(*m);
+                let backup = config.members.iter().copied().find(spare)?;
+                Some((region, a.primary, backup))
+            })
+            .collect();
         if new_backups.is_empty() {
             self.events.record(EventKind::RereplicationComplete);
             return;
         }
-        let placement_snapshot = self.placement.read().clone();
+        self.publish(|view| {
+            for &(region, _, backup) in &new_backups {
+                view.placement.add_backup(region, backup);
+            }
+        });
+        let nodes = self.nodes.clone();
+        let events = self.events.clone();
+        let pace = self.cfg.rereplication_pace;
         let hooks = Arc::clone(&*self.hooks.read());
         let handle = std::thread::Builder::new()
             .name("farm-rereplication".into())
             .spawn(move || {
-                for (region, backup) in new_backups {
+                for (region, primary, backup) in new_backups {
                     // Paced copy: clone every allocated object from the
                     // current primary replica into the new backup replica.
                     std::thread::sleep(pace);
-                    if let Some(assignment) = placement_snapshot.assignment(region) {
-                        let primary = assignment.primary;
-                        let src = nodes[primary.index()].regions().ensure(region);
-                        let dst = nodes[backup.index()].regions().ensure(region);
-                        let slab_count = src.slab_count() as u16;
-                        let mut bytes_copied = 0usize;
-                        for slab_idx in 0..slab_count {
-                            // A placeholder (a slab index the source never
-                            // heard a record for) has nothing to copy.
-                            if let Some(slab) = src.slab(slab_idx).filter(|s| !s.is_placeholder()) {
-                                let dst_slab = dst.ensure_slab(slab_idx, slab.object_size());
-                                for slot_idx in 0..slab.capacity() as u32 {
-                                    if let (Some(s), Some(d)) =
-                                        (slab.get(slot_idx), dst_slab.get(slot_idx))
-                                    {
-                                        let h = s.header_snapshot();
-                                        if h.allocated {
-                                            let data = s.raw_data();
-                                            bytes_copied += data.len() + 16;
-                                            d.initialize(h.ts, data);
-                                        }
+                    let src = nodes[primary.index()].regions().ensure(region);
+                    let dst = nodes[backup.index()].regions().ensure(region);
+                    let slab_count = src.slab_count() as u16;
+                    let mut bytes_copied = 0usize;
+                    for slab_idx in 0..slab_count {
+                        // A placeholder (a slab index the source never
+                        // heard a record for) has nothing to copy.
+                        if let Some(slab) = src.slab(slab_idx).filter(|s| !s.is_placeholder()) {
+                            let dst_slab = dst.ensure_slab(slab_idx, slab.object_size());
+                            for slot_idx in 0..slab.capacity() as u32 {
+                                if let (Some(s), Some(d)) =
+                                    (slab.get(slot_idx), dst_slab.get(slot_idx))
+                                {
+                                    let h = s.header_snapshot();
+                                    if h.allocated {
+                                        let data = s.raw_data();
+                                        bytes_copied += data.len() + 16;
+                                        d.initialize(h.ts, data);
                                     }
                                 }
                             }
                         }
-                        // The copy travels as bulk one-sided writes from the
-                        // current primary to the new backup.
-                        if bytes_copied > 0 {
-                            nodes[primary.index()]
-                                .stats()
-                                .record(Verb::RdmaWrite, bytes_copied);
-                        }
-                        // Bring the new backup's allocator metadata in line
-                        // with the copied headers.
-                        dst.rebuild_allocation_state();
-                        // Log catch-up: commits that early-acked against the
-                        // old replica set while the copy was running live
-                        // only in the untruncated redo logs — the engine
-                        // replays them onto the new backup.
-                        hooks.on_backup_rereplicated(region, backup);
                     }
+                    // The copy travels as bulk one-sided writes from the
+                    // current primary to the new backup.
+                    if bytes_copied > 0 {
+                        nodes[primary.index()]
+                            .stats()
+                            .record(Verb::RdmaWrite, bytes_copied);
+                    }
+                    // Bring the new backup's allocator metadata in line
+                    // with the copied headers.
+                    dst.rebuild_allocation_state();
+                    // Log catch-up: commits that early-acked against the
+                    // old replica set while the copy was running live
+                    // only in the untruncated redo logs — the engine
+                    // replays them onto the new backup.
+                    hooks.on_backup_rereplicated(region, backup);
                     events.record(EventKind::Rereplicated {
                         region,
                         new_backup: backup,
@@ -880,6 +806,8 @@ impl Drop for Cluster {
 mod tests {
     use super::*;
     use farm_clock::TsMode;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{Barrier, Weak};
 
     #[test]
     fn start_enables_all_clocks() {
@@ -901,11 +829,11 @@ mod tests {
     fn placement_covers_all_nodes() {
         let cluster = Cluster::start(ClusterConfig::test(4));
         assert_eq!(cluster.regions().len(), 4);
-        for region in cluster.regions() {
-            let replicas = cluster.replicas_of(region);
-            assert_eq!(replicas.len(), 3);
+        let placement = &cluster.view().placement;
+        for (_, assignment) in placement.iter() {
+            assert_eq!(assignment.replicas().len(), 3);
         }
-        assert_eq!(cluster.primaries_on(NodeId(2)).len(), 1);
+        assert_eq!(placement.primaries_of(NodeId(2)).count(), 1);
     }
 
     #[test]
@@ -1116,7 +1044,15 @@ mod tests {
         let region = RegionId(1);
         assert_eq!(cluster.primary_of(region), Some(NodeId(1)));
         // Put an object on the primary and both backups (as a commit would).
-        for &replica in &cluster.replicas_of(region) {
+        let replicas_of = |region| {
+            cluster
+                .view()
+                .placement
+                .assignment(region)
+                .unwrap()
+                .replicas()
+        };
+        for replica in replicas_of(region) {
             let r = cluster.node(replica).regions().ensure(region);
             let addr = r.allocate(64).unwrap();
             r.slot(addr)
@@ -1147,7 +1083,7 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        let replicas = cluster.replicas_of(region);
+        let replicas = replicas_of(region);
         assert_eq!(
             replicas.len(),
             3,
@@ -1173,12 +1109,8 @@ mod tests {
         }
         // The barrier is transient: raised at suspicion, lifted after the
         // promotions. Afterwards no region may remain blocked.
-        for region in cluster.regions() {
-            assert!(
-                !cluster.is_region_blocked(region),
-                "{region:?} still blocked after reconfiguration"
-            );
-        }
+        let draining = &cluster.view().draining;
+        assert!(draining.is_empty(), "{draining:?} still blocked");
         let events = cluster.events().snapshot();
         let blocked_at = events
             .iter()
@@ -1222,6 +1154,83 @@ mod tests {
         // A generation already passed returns at once, whatever the timeout.
         assert!(cluster.reconfiguration_generation() > seen);
         assert!(cluster.wait_for_reconfiguration(seen, Duration::from_secs(30)));
+        cluster.shutdown();
+    }
+
+    /// The view's one invariant: a region whose assignment names a node
+    /// outside the configuration is draining.
+    fn assert_consistent(view: &ClusterView) {
+        for (region, assignment) in view.placement.iter() {
+            let stale = !assignment
+                .replicas()
+                .iter()
+                .all(|&n| view.config.contains(n));
+            assert!(
+                !stale || view.is_draining(region),
+                "{region:?} routes to a removed node outside the barrier: {view:?}"
+            );
+        }
+    }
+
+    /// Checks the invariant from inside a reconfiguration, at each step that
+    /// calls out to the engine.
+    struct CheckingHooks {
+        cluster: Weak<Cluster>,
+        checks: AtomicUsize,
+    }
+
+    impl CheckingHooks {
+        fn check(&self) {
+            assert_consistent(self.cluster.upgrade().unwrap().view());
+            self.checks.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl RecoveryHooks for CheckingHooks {
+        fn on_config_committed(&self, _: &ConfigRecord) {
+            self.check();
+        }
+
+        fn on_region_promoted(&self, _: RegionId, _: NodeId) {
+            self.check();
+        }
+    }
+
+    #[test]
+    fn every_view_drains_the_regions_that_still_name_a_removed_node() {
+        let cluster = Cluster::start(ClusterConfig::test(5));
+        let hooks = Arc::new(CheckingHooks {
+            cluster: Arc::downgrade(&cluster),
+            checks: AtomicUsize::new(0),
+        });
+        cluster.set_recovery_hooks(Arc::clone(&hooks) as Arc<dyn RecoveryHooks>);
+        let stop = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(Barrier::new(2));
+        let reader = {
+            let (cluster, stop) = (Arc::clone(&cluster), Arc::clone(&stop));
+            let started = Arc::clone(&started);
+            std::thread::spawn(move || {
+                assert_consistent(cluster.view());
+                started.wait();
+                while !stop.load(Ordering::Acquire) {
+                    assert_consistent(cluster.view());
+                }
+            })
+        };
+        started.wait();
+        // One node per reconfiguration, the CM among them; the initiator
+        // survives all three.
+        for victim in [1, 0, 3] {
+            cluster.kill(NodeId(victim));
+            assert!(cluster.initiate_reconfiguration(NodeId(4), &[NodeId(victim)]));
+            assert_consistent(cluster.view());
+        }
+        stop.store(true, Ordering::Release);
+        reader.join().unwrap();
+        assert_eq!(cluster.current_config().epoch, 4);
+        // Three configurations committed and one promotion per killed
+        // primary (each region has one primary per node here).
+        assert_eq!(hooks.checks.load(Ordering::Relaxed), 6);
         cluster.shutdown();
     }
 

@@ -23,6 +23,14 @@
 //!   a primary fails a backup is promoted (and rebuilds its allocator
 //!   bitmaps), and background re-replication restores the replication factor
 //!   at a configurable pace.
+//! * **One cluster view**: the committed configuration, the placement and
+//!   the drain barrier live in one immutable [`ClusterView`], published
+//!   through an `ArcSwap` and read with one wait-free [`Cluster::view`]
+//!   load, so an epoch, a placement and a barrier are always read from the
+//!   same configuration. Only a reconfiguration publishes a view, one per
+//!   protocol step (barrier up, CAS, promotions, barrier lifted, new
+//!   backups). The failure detector's lease bookkeeping, which changes
+//!   every control round, sits beside the view, not in it.
 //!
 //! The transaction engine (`farm-core`) runs on top of the [`Cluster`]
 //! type exported here; it registers an *OAT provider* per node so the lease
@@ -37,12 +45,14 @@ pub mod config;
 pub mod events;
 pub mod node;
 pub mod placement;
+pub mod view;
 
 pub use cluster::{Cluster, ClusterConfig, NoHooks, RecoveryHooks};
 pub use config::{ConfigRecord, ConfigStore};
 pub use events::{ClusterEvent, EventKind, EventLog};
 pub use node::{NodeHandle, NodeRole};
 pub use placement::{Placement, RegionAssignment};
+pub use view::ClusterView;
 
 pub use farm_clock as clock;
 pub use farm_memory as memory;

@@ -1,6 +1,5 @@
 //! Region placement: which machine is primary and which are backups.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use farm_memory::RegionId;
@@ -32,10 +31,12 @@ impl RegionAssignment {
     }
 }
 
-/// The cluster-wide placement map.
+/// The cluster-wide placement map: every region's replica set, indexed by
+/// region id. Regions are dense (`0..n`, from [`Placement::initial`]) and
+/// never removed, so a lookup is one bounds-checked index.
 #[derive(Debug, Clone, Default)]
 pub struct Placement {
-    assignments: HashMap<RegionId, RegionAssignment>,
+    assignments: Vec<RegionAssignment>,
 }
 
 impl Placement {
@@ -47,56 +48,55 @@ impl Placement {
     pub fn initial(nodes: &[NodeId], regions_per_node: usize, replication: usize) -> Self {
         assert!(!nodes.is_empty());
         assert!(replication >= 1 && replication <= nodes.len());
-        let mut assignments = HashMap::new();
         let n = nodes.len();
-        let total_regions = regions_per_node * n;
-        for r in 0..total_regions {
-            let primary = nodes[r % n];
-            let backups = (1..replication).map(|k| nodes[(r + k) % n]).collect();
-            assignments.insert(RegionId(r as u16), RegionAssignment { primary, backups });
-        }
+        let assignments = (0..regions_per_node * n)
+            .map(|r| RegionAssignment {
+                primary: nodes[r % n],
+                backups: (1..replication).map(|k| nodes[(r + k) % n]).collect(),
+            })
+            .collect();
         Placement { assignments }
     }
 
-    /// All region ids, sorted.
-    pub fn regions(&self) -> Vec<RegionId> {
-        let mut v: Vec<_> = self.assignments.keys().copied().collect();
-        v.sort();
-        v
+    /// Every region with its assignment, in ascending region order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (RegionId, &RegionAssignment)> {
+        let regions = self.assignments.iter().enumerate();
+        regions.map(|(i, a)| (RegionId(i as u16), a))
+    }
+
+    /// All region ids, ascending.
+    pub fn regions(&self) -> impl ExactSizeIterator<Item = RegionId> + '_ {
+        self.iter().map(|(r, _)| r)
     }
 
     /// The assignment of one region.
     pub fn assignment(&self, region: RegionId) -> Option<&RegionAssignment> {
-        self.assignments.get(&region)
+        self.assignments.get(usize::from(region.0))
     }
 
-    /// Regions whose primary is `node`, sorted.
-    pub fn primaries_of(&self, node: NodeId) -> Vec<RegionId> {
-        let mut v: Vec<_> = self
-            .assignments
-            .iter()
-            .filter(|(_, a)| a.primary == node)
-            .map(|(r, _)| *r)
-            .collect();
-        v.sort();
-        v
+    /// Regions whose primary is `node`, ascending.
+    pub fn primaries_of(&self, node: NodeId) -> impl Iterator<Item = RegionId> + '_ {
+        self.iter()
+            .filter(move |(_, a)| a.primary == node)
+            .map(|(r, _)| r)
     }
 
     /// Removes a failed node from every assignment, promoting the first
     /// surviving backup where it was primary. Returns the list of
-    /// `(region, new_primary)` promotions performed.
+    /// `(region, new_primary)` promotions performed, ascending.
     ///
-    /// Regions that lose *all* replicas are left unassigned (data loss), which
-    /// the initial placement's replication factor is chosen to avoid for the
-    /// failure counts exercised in the evaluation.
+    /// A region that loses *all* replicas keeps the failed node as its
+    /// primary (data loss), which the initial placement's replication factor
+    /// is chosen to avoid for the failure counts exercised in the evaluation.
     pub fn remove_node(&mut self, failed: NodeId) -> Vec<(RegionId, NodeId)> {
         let mut promotions = Vec::new();
-        for (region, a) in self.assignments.iter_mut() {
+        for (i, a) in self.assignments.iter_mut().enumerate() {
+            let region = RegionId(i as u16);
             let mut survivors = a.backups.iter().copied().filter(|&b| b != failed);
             if a.primary == failed {
                 if let Some(new_primary) = survivors.next() {
                     a.primary = new_primary;
-                    promotions.push((*region, new_primary));
+                    promotions.push((region, new_primary));
                 }
             }
             let survivors: Arc<[NodeId]> = survivors.collect();
@@ -104,29 +104,22 @@ impl Placement {
                 a.backups = survivors;
             }
         }
-        promotions.sort();
         promotions
     }
 
     /// Regions that currently have fewer than `replication` replicas, with
     /// their current replica counts.
     pub fn under_replicated(&self, replication: usize) -> Vec<(RegionId, usize)> {
-        let mut v: Vec<_> = self
-            .assignments
-            .iter()
-            .filter_map(|(r, a)| {
-                let count = 1 + a.backups.len();
-                (count < replication).then_some((*r, count))
-            })
-            .collect();
-        v.sort();
-        v
+        self.iter()
+            .map(|(r, a)| (r, 1 + a.backups.len()))
+            .filter(|&(_, count)| count < replication)
+            .collect()
     }
 
     /// Adds `node` as an additional backup of `region` (end of
     /// re-replication for that region).
     pub fn add_backup(&mut self, region: RegionId, node: NodeId) {
-        if let Some(a) = self.assignments.get_mut(&region) {
+        if let Some(a) = self.assignments.get_mut(usize::from(region.0)) {
             if !a.involves(node) {
                 a.backups = a.backups.iter().copied().chain([node]).collect();
             }
@@ -147,7 +140,7 @@ mod tests {
         let p = Placement::initial(&nodes(4), 2, 3);
         assert_eq!(p.regions().len(), 8);
         for node in nodes(4) {
-            assert_eq!(p.primaries_of(node).len(), 2);
+            assert_eq!(p.primaries_of(node).count(), 2);
         }
         let a = p.assignment(RegionId(1)).unwrap();
         assert_eq!(a.primary, NodeId(1));

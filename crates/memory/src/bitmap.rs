@@ -58,26 +58,6 @@ impl FreeBitmap {
         self.free_count
     }
 
-    /// Whether every slot is free.
-    pub fn all_free(&self) -> bool {
-        self.free_count == self.capacity
-    }
-
-    /// Whether no slot is free.
-    pub fn is_full(&self) -> bool {
-        self.free_count == 0
-    }
-
-    /// Whether the given slot is free.
-    pub fn is_free(&self, slot: usize) -> bool {
-        assert!(
-            slot < self.capacity,
-            "slot {slot} out of range {}",
-            self.capacity
-        );
-        self.leaves[slot / 64] & (1 << (slot % 64)) != 0
-    }
-
     /// Allocates the lowest-numbered free slot, or `None` if full.
     pub fn allocate(&mut self) -> Option<usize> {
         // Find the first summary word with a set bit.
@@ -148,7 +128,7 @@ mod tests {
         assert_eq!(b.allocate(), Some(0));
         assert_eq!(b.allocate(), Some(1));
         assert_eq!(b.allocate(), Some(2));
-        assert!(b.is_full());
+        assert_eq!(b.free_count(), 0);
         assert_eq!(b.allocate(), None);
         b.free(1);
         assert_eq!(b.allocate(), Some(1));
@@ -182,7 +162,7 @@ mod tests {
         for i in 0..cap {
             assert_eq!(b.allocate(), Some(i));
         }
-        assert!(b.is_full());
+        assert_eq!(b.free_count(), 0);
         b.free(cap - 1);
         assert_eq!(b.allocate(), Some(cap - 1));
     }
@@ -193,16 +173,17 @@ mod tests {
         b.mark_allocated(3);
         b.mark_allocated(3);
         assert_eq!(b.free_count(), 7);
-        assert!(!b.is_free(3));
+        let rest: Vec<usize> = std::iter::from_fn(|| b.allocate()).collect();
+        assert_eq!(rest, [0, 1, 2, 4, 5, 6, 7], "slot 3 handed out");
     }
 
     #[test]
     fn all_free_reports_correctly() {
         let mut b = FreeBitmap::new_all_free(2);
-        assert!(b.all_free());
+        assert_eq!(b.free_count(), b.capacity());
         let s = b.allocate().unwrap();
-        assert!(!b.all_free());
+        assert_eq!(b.free_count(), b.capacity() - 1);
         b.free(s);
-        assert!(b.all_free());
+        assert_eq!(b.free_count(), b.capacity());
     }
 }

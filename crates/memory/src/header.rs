@@ -214,12 +214,6 @@ impl ObjectHeader {
         self.word0.store(new_word, Ordering::Release);
     }
 
-    /// Updates only the old-version pointer (used when truncating history).
-    pub fn set_ovp(&self, ovp: Option<OldAddr>) {
-        self.ovp
-            .store(ovp.map(OldAddr::pack).unwrap_or(NO_OVP), Ordering::Release);
-    }
-
     /// Current timestamp (only meaningful for allocated slots).
     #[inline]
     pub fn ts(&self) -> u64 {
@@ -355,21 +349,5 @@ mod tests {
         h.mark_free();
         assert!(!h.snapshot().tombstone);
         assert!(!h.snapshot().allocated);
-    }
-
-    #[test]
-    fn set_ovp_only_changes_pointer() {
-        let h = ObjectHeader::new_free();
-        h.initialize_allocated(5);
-        h.set_ovp(Some(OldAddr {
-            block: BlockId(1),
-            index: 2,
-            generation: 0,
-        }));
-        let s = h.snapshot();
-        assert_eq!(s.ts, 5);
-        assert!(s.ovp.is_some());
-        h.set_ovp(None);
-        assert_eq!(h.snapshot().ovp, None);
     }
 }

@@ -467,11 +467,11 @@ impl std::fmt::Debug for Region {
 /// Every transaction resolves at least one region per operation, so the map
 /// is a copy-on-write snapshot: lookups are one wait-free load plus a
 /// lock-free `Weak::upgrade`, and the rare hosting changes (region creation,
-/// re-replication, drop) republish it under the `owned` mutex. Snapshots
-/// hold **weak** handles — strong ownership lives only in `owned` — so a
-/// dropped region's memory is freed as soon as the last in-flight user
-/// releases it, even though the `ArcSwap` shim retains replaced map
-/// snapshots until the store itself drops.
+/// re-replication) republish it under the `owned` mutex. Snapshots hold
+/// **weak** handles — strong ownership lives only in `owned` — so no
+/// snapshot, current or retained by the `ArcSwap` shim, keeps a replica
+/// alive: a dropped store's regions are freed as soon as the last in-flight
+/// user releases them.
 #[derive(Default)]
 pub struct RegionStore {
     config: RegionConfig,
@@ -518,15 +518,6 @@ impl RegionStore {
             .load()
             .get(&id)
             .and_then(std::sync::Weak::upgrade)
-    }
-
-    /// Drops the replica of `id` (the machine stops hosting the region). Its
-    /// memory is freed once the last in-flight reference goes away — stale
-    /// weak handles in retained snapshots cannot resurrect it.
-    pub fn drop_region(&self, id: RegionId) {
-        let mut owned = self.owned.lock();
-        owned.remove(&id);
-        self.publish(&owned);
     }
 
     /// Republishes the lookup snapshot from the ownership map (caller holds
@@ -693,17 +684,17 @@ mod tests {
         assert!(store.get(RegionId(5)).is_none());
         let r = store.ensure(RegionId(5));
         assert_eq!(r.id(), RegionId(5));
-        assert!(store.get(RegionId(5)).is_some());
+        assert!(Arc::ptr_eq(&store.get(RegionId(5)).unwrap(), &r));
         assert_eq!(store.hosted(), vec![RegionId(5)]);
-        store.drop_region(RegionId(5));
-        assert!(store.get(RegionId(5)).is_none());
+        drop(store);
+        assert_eq!(Arc::strong_count(&r), 1, "a dropped store still owns r5");
     }
 
     #[test]
     fn dropped_region_memory_is_actually_freed() {
-        // The lookup snapshots hold weak handles, so dropping a region frees
-        // its slabs as soon as the last strong reference goes — republished
-        // (retained) snapshots must not keep dead replicas alive.
+        // The lookup snapshots hold weak handles, so dropping the store frees
+        // its regions as soon as the last strong reference goes — a snapshot
+        // that outlives the store must not keep its replicas alive.
         let store = RegionStore::new(RegionConfig::small());
         let r = store.ensure(RegionId(7));
         let a = r.allocate(64).unwrap();
@@ -719,13 +710,13 @@ mod tests {
         store.ensure(RegionId(8));
         store.ensure(RegionId(9));
         assert!(weak.upgrade().is_some(), "still hosted: stays alive");
-        store.drop_region(RegionId(7));
+        let snapshot = store.regions.load_full();
+        drop(store);
+        assert!(snapshot.contains_key(&RegionId(7)));
         assert!(
             weak.upgrade().is_none(),
             "dropped region leaked through a retained snapshot"
         );
-        assert!(store.get(RegionId(7)).is_none());
-        assert_eq!(store.hosted(), vec![RegionId(8), RegionId(9)]);
         // The handle pins its slab — and only its slab — until it drops.
         assert_eq!(&held.raw_data()[..], b"held");
         assert_eq!(held.header_snapshot().ts, 3);

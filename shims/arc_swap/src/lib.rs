@@ -16,10 +16,10 @@
 //!
 //! That trade-off targets exactly the workloads this workspace swaps:
 //! append-only or rarely-reconfigured index structures (a region's slab
-//! table, the region map of a machine, a node's OAT provider) whose update
-//! count over the process lifetime is small and bounded, while reads are the
-//! per-operation hot path. Do not use it for values replaced at high rate —
-//! retired snapshots would accumulate.
+//! table, the region map of a machine, a node's OAT provider, the cluster
+//! view) whose update count over the process lifetime is small and bounded,
+//! while reads are the per-operation hot path. Do not use it for values
+//! replaced at high rate — retired snapshots would accumulate.
 
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};

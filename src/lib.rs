@@ -12,7 +12,6 @@
 
 pub use farm_clock as clock;
 pub use farm_core as core_engine;
-pub use farm_disklog as disklog;
 pub use farm_index as index;
 pub use farm_kernel as kernel;
 pub use farm_memory as memory;
