@@ -232,10 +232,12 @@ impl NodeClock {
 
     /// Acquires a strict timestamp **without** waiting out the uncertainty:
     /// returns the interval's upper bound, which the caller must pass to
-    /// [`NodeClock::complete_deferred_wait`] before exposing any write at
-    /// that timestamp. This is the first half of the paper's Figure 4
-    /// pipelining: the wait runs concurrently with COMMIT-BACKUP
-    /// replication instead of blocking the coordinator up front.
+    /// [`NodeClock::complete_deferred_wait`] before the timestamp is used:
+    /// before exposing any write at it, or before reading any object at it.
+    /// This is the first half of the paper's Figure 4 pipelining. A write
+    /// timestamp's wait runs concurrently with COMMIT-BACKUP replication; a
+    /// strict read timestamp's wait runs at the transaction's first read,
+    /// after whatever the application does before it.
     pub fn get_ts_deferred(&self) -> Timestamp {
         let interval = self.wait_time();
         self.stats.timestamps.fetch_add(1, Ordering::Relaxed);

@@ -132,6 +132,12 @@ impl NodeEngine {
     /// installs of this engine's earlier early-acked commits are drained
     /// first (off the commit critical path — this is the opportunistic
     /// stage-2 completion point of the lifecycle).
+    ///
+    /// A strict transaction takes its read timestamp without waiting: the
+    /// uncertainty wait runs at its first snapshot read (`read`,
+    /// `read_many`, [`Transaction::read_ts`] or the commit, whichever comes
+    /// first), so it overlaps whatever the caller does in between. A
+    /// transaction dropped before then never waits.
     pub fn begin_with(self: &Arc<Self>, opts: TxOptions) -> Transaction {
         self.drain_pending_installs();
         Transaction::start(Arc::clone(self), opts)

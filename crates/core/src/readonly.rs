@@ -53,7 +53,7 @@ impl ParallelQuery {
     /// serializable.
     pub fn start(engine: &Arc<Engine>, master_node: NodeId) -> ParallelQuery {
         let master = engine.node(master_node);
-        let tx = master.begin();
+        let mut tx = master.begin();
         let read_ts = tx.read_ts();
         // The master transaction object itself is dropped; what matters is
         // that the snapshot (read_ts) is protected from GC, which the engine

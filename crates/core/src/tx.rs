@@ -57,6 +57,10 @@ pub struct Transaction {
     opts: TxOptions,
     /// The snapshot this transaction reads at.
     read_ts: u64,
+    /// A strict read timestamp whose uncertainty is not yet waited out:
+    /// `settle` waits until it is in the past before the first access to
+    /// snapshot data.
+    pending_wait: Option<u64>,
     /// Stale snapshot reads (slave side of parallel distributed queries) are
     /// read-only by construction.
     stale_readonly: bool,
@@ -74,9 +78,11 @@ pub struct Transaction {
 impl Transaction {
     pub(crate) fn start(engine: Arc<NodeEngine>, opts: TxOptions) -> Transaction {
         let serial = engine.next_serial();
-        // Acquire the read timestamp. Strict transactions use GET_TS (upper
-        // bound + uncertainty wait); non-strict ones take the lower bound
-        // with no wait.
+        // Acquire the read timestamp. Strict transactions take GET_TS
+        // deferred: the interval's upper bound now, with the uncertainty
+        // wait left to `settle`, which runs before the first access to
+        // snapshot data so the wait overlaps whatever the application does
+        // first. Non-strict ones take the lower bound with no wait.
         //
         // Registration happens in two wait-free steps: publish a
         // conservative placeholder (the clock's current lower bound, which
@@ -85,20 +91,15 @@ impl Transaction {
         // OAT scan interleaving with `begin` therefore sees at worst a
         // too-small timestamp — it can never advance the GC watermarks past
         // a snapshot that is about to become live.
-        let placeholder = engine
-            .handle()
-            .clock()
-            .time_unchecked()
-            .map(|i| i.lower)
-            .unwrap_or(0);
+        let clock = engine.handle().clock();
+        let placeholder = clock.time_unchecked().map(|i| i.lower).unwrap_or(0);
         let active = engine.register_active(serial, placeholder);
-        let mode = if opts.strict {
-            TsMode::StrictWait
+        let (read_ts, pending_wait) = if opts.strict {
+            let ts = clock.get_ts_deferred().as_nanos();
+            (ts, Some(ts))
         } else {
-            TsMode::NonStrictRead
+            (clock.get_ts(TsMode::NonStrictRead).0.as_nanos(), None)
         };
-        let (ts, _waited) = engine.handle().clock().get_ts(mode);
-        let read_ts = ts.as_nanos();
         engine.update_active(active, read_ts);
         Transaction {
             engine,
@@ -106,6 +107,7 @@ impl Transaction {
             active,
             opts,
             read_ts,
+            pending_wait,
             stale_readonly: false,
             read_set: HashMap::new(),
             write_set: HashMap::new(),
@@ -124,6 +126,7 @@ impl Transaction {
             active,
             opts: TxOptions::serializable(),
             read_ts,
+            pending_wait: None,
             stale_readonly: true,
             read_set: HashMap::new(),
             write_set: HashMap::new(),
@@ -133,9 +136,24 @@ impl Transaction {
         }
     }
 
-    /// The transaction's read timestamp (snapshot point).
-    pub fn read_ts(&self) -> u64 {
+    /// The transaction's read timestamp (snapshot point). For a strict
+    /// transaction this waits out what is left of the timestamp's
+    /// uncertainty first, so the snapshot it returns is in the past and can
+    /// be handed to other machines (as [`ParallelQuery`](crate::ParallelQuery)
+    /// does).
+    pub fn read_ts(&mut self) -> u64 {
+        self.settle();
         self.read_ts
+    }
+
+    /// Waits out a strict read timestamp's uncertainty, once. Runs right
+    /// before the transaction's first access to snapshot data; everything
+    /// earlier (routing, the cluster view, the caller's own code) reads no
+    /// object, so the wait overlaps it without weakening opacity.
+    fn settle(&mut self) {
+        if let Some(target) = self.pending_wait.take() {
+            self.engine.handle().clock().complete_deferred_wait(target);
+        }
     }
 
     /// Whether the transaction has performed no writes, allocations or frees.
@@ -164,6 +182,7 @@ impl Transaction {
             return Ok(buffered.clone());
         }
         let (primary, region) = self.engine.primary_region_of(addr)?;
+        self.settle();
         self.read_slot(primary, &region, addr, None)
     }
 
@@ -211,6 +230,8 @@ impl Transaction {
             let (primary, region) = self.engine.primary_region_of(probe)?;
             by_primary.entry(primary).or_default().push((region, idxs));
         }
+        // The work closures below read slot data at issue.
+        self.settle();
         // One verb per destination primary; its work closure performs the
         // destination's region traversals at issue (in that destination's
         // fixed region/index order, so completions can be re-associated
@@ -545,6 +566,10 @@ impl Transaction {
     /// [`Transaction::commit`] and
     /// [`CommitPipeline::submit`](crate::CommitPipeline::submit).
     pub(crate) fn prepare_commit(mut self) -> PreparedCommit {
+        // A transaction that never read still needs its snapshot in the
+        // past: the write timestamp must exceed it, and the returned
+        // `CommitInfo::read_ts` must be a snapshot other machines can use.
+        self.settle();
         if self.is_read_only() {
             // Read-only transactions skip validation entirely:
             // committing is a no-op (Section 4.2).

@@ -151,3 +151,37 @@ fn a_synchronous_read_modify_write_commit_allocates_little() {
     assert!(commit <= 13, "commit made {commit} allocations");
     engine.shutdown();
 }
+
+#[test]
+fn a_strict_one_key_read_only_transaction_allocates_only_its_read_set() {
+    let engine = Engine::start_cluster(ClusterConfig::test(3), EngineConfig::default());
+    let node = engine.node(NodeId(0));
+    let region = engine.cluster().regions()[1];
+    let mut setup = node.begin();
+    let addr = setup.alloc_in(region, vec![0u8; 64]).unwrap();
+    setup.commit().unwrap();
+    engine.quiesce();
+    let opts = TxOptions::default();
+    let (mut begin, mut read, mut commit) = (0, 0, 0);
+    for i in 0..WARMUP + COMMITS {
+        let measure = i >= WARMUP;
+        let (mut tx, allocs) = counted(|| node.begin_with(opts));
+        let (value, read_allocs) = counted(|| tx.read(addr));
+        value.unwrap();
+        let (info, commit_allocs) = counted(|| tx.commit());
+        assert!(info.unwrap().write_ts.is_none());
+        if measure {
+            begin += allocs;
+            read += read_allocs;
+            commit += commit_allocs;
+        }
+    }
+    let (begin, read, commit) = (per_commit(begin), per_commit(read), per_commit(commit));
+    eprintln!("strict one-key read-only: begin_with {begin}, read {read}, commit {commit}");
+    // The uncertainty wait moved from `begin` to the first read without
+    // adding an allocation; the read's one is the read-set map.
+    assert_eq!(begin, 0, "begin_with allocated");
+    assert_eq!(read, 1, "read made {read} allocations");
+    assert_eq!(commit, 0, "a read-only commit allocated");
+    engine.shutdown();
+}

@@ -478,3 +478,45 @@ fn concurrent_counter_increments_from_all_nodes_are_serializable() {
     check.commit().unwrap();
     engine.shutdown();
 }
+
+#[test]
+fn a_strict_begin_defers_its_uncertainty_wait_to_the_first_read() {
+    use std::sync::atomic::Ordering;
+
+    let engine = engine(EngineConfig::default());
+    let mut setup = engine.node(NodeId(0)).begin();
+    let addr = setup.alloc(vec![1u8]).unwrap();
+    setup.commit().unwrap();
+    let node = engine.node(NodeId(1));
+    let clock = node.handle().clock();
+    let waits = || clock.stats().waits.load(Ordering::Relaxed);
+    // No background control traffic: n1's interval widens at the drift
+    // bound from this sync on, ≈ 0.5 ms after the sleep, so the wait at the
+    // first read is never already over.
+    engine.cluster().control_round();
+    std::thread::sleep(std::time::Duration::from_millis(250));
+
+    let before = waits();
+    let mut tx = node.begin();
+    assert_eq!(waits(), before, "begin waited");
+    tx.read(addr).unwrap();
+    assert_eq!(waits(), before + 1, "the first read did not wait");
+    tx.read(addr).unwrap();
+    let info = tx.commit().unwrap();
+    assert_eq!(waits(), before + 1, "a second read or the commit waited");
+    assert!(clock.time().unwrap().lower >= info.read_ts);
+
+    // Dropped before its first read: the wait never runs.
+    let before = waits();
+    drop(node.begin());
+    assert_eq!(waits(), before, "a dropped transaction waited");
+
+    // Never read: the commit settles the snapshot before the write
+    // timestamp is taken.
+    let mut tx = node.begin();
+    tx.overwrite(addr, vec![2u8]).unwrap();
+    let info = tx.commit().unwrap();
+    assert!(info.write_ts.unwrap() > info.read_ts);
+    assert!(clock.time().unwrap().lower >= info.read_ts);
+    engine.shutdown();
+}

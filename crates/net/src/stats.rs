@@ -53,7 +53,8 @@ pub enum PhaseLabel {
     ReplicateBackups,
     /// COMMIT-PRIMARY installs (one destination, drained or helped).
     InstallPrimary,
-    /// The execution-phase `read_many` fan-out.
+    /// The execution-phase `read_many` fan-out (absorbs what is left of a
+    /// strict transaction's read-timestamp wait when it is the first read).
     ReadMany,
 }
 
