@@ -57,9 +57,8 @@ impl Clock for MonotonicClock {
 ///
 /// `now = offset + base_now * (1 + drift_ppm/1e6)` where `drift_ppm` may be
 /// negative. The drift must stay within the system-wide bound ε for the
-/// synchronization algorithm's guarantees to hold; the
-/// [`DriftMonitor`](crate::DriftMonitor) is the runtime check for that
-/// assumption.
+/// synchronization algorithm's guarantees to hold; nothing checks that
+/// assumption at run time.
 pub struct DriftClock {
     base: SharedClock,
     offset_ns: u64,

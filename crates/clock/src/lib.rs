@@ -29,10 +29,6 @@
 //!   disabling/enabling the clock during reconfiguration, and the
 //!   **fast-forward** (`FF`) bookkeeping used by the clock-failover protocol
 //!   of Figure 6.
-//! * [`DriftMonitor`] — continuous monitoring of the local clock rate
-//!   relative to the CM, reporting machines whose observed drift exceeds a
-//!   configurable threshold (200 ppm in the paper, 5× more conservative than
-//!   the 1000 ppm correctness bound).
 //!
 //! All times are expressed in nanoseconds as `u64`; timestamps are newtyped
 //! as [`Timestamp`].
@@ -41,14 +37,12 @@
 #![deny(unsafe_code)]
 
 mod clock;
-mod drift;
 mod interval;
 mod master;
 mod node;
 mod sync;
 
 pub use clock::{Clock, DriftClock, ManualClock, MonotonicClock, SharedClock};
-pub use drift::{DriftMonitor, DriftReport};
 pub use interval::{TimeInterval, Timestamp};
 pub use master::{MasterError, MasterState};
 pub use node::{ClockConfig, ClockStats, NodeClock, TsMode};

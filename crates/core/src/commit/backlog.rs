@@ -1,21 +1,14 @@
-//! The commit-completion backlog: everything a transaction leaves behind
-//! when its **critical path** ends at the last COMMIT-BACKUP ack.
+//! The commit-completion backlog: what a transaction leaves behind when its
+//! **critical path** ends at the last COMMIT-BACKUP ack.
 //!
 //! FaRMv2 considers a transaction committed — and tells the application so —
-//! as soon as every backup has acknowledged its COMMIT-BACKUP record;
-//! installing at the primaries and truncating the logs are background work.
-//! This module holds that background state for the whole cluster:
+//! as soon as every backup has acknowledged its COMMIT-BACKUP record. The
+//! coordinator posts COMMIT-PRIMARY without waiting for it, and the driver
+//! applies each primary's installs right there, on the thread that runs
+//! every other verb's destination-side work (`CommitDriver`'s
+//! `early_ack_finish`). What outlives the commit is cluster-wide and lives
+//! here:
 //!
-//! * **Pending installs** ([`PendingInstall`]): the held locks and plan of an
-//!   early-acked transaction, split per destination primary by the plan's
-//!   destination table. Each destination is *claimable* exactly once (an
-//!   atomic flag in its table row), so the
-//!   committing engine's opportunistic drain and any number of helping
-//!   readers race safely: whoever claims a destination applies its installs
-//!   in ascending address order and unlocks. An address-level index lets a
-//!   reader (or locker, or validator) that hits a locked slot of a durable
-//!   transaction find the pending install and **help complete it** instead
-//!   of backing off or aborting.
 //! * **Backup redo logs**: the COMMIT-BACKUP record of each backup
 //!   destination is materialized here when the replication phase completes —
 //!   exactly the log a real backup holds between COMMIT-BACKUP and
@@ -36,77 +29,18 @@
 //!   withdraws only its own reservation, so earlier transactions' truncates
 //!   are never lost.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 use farm_kernel::NodeHandle;
 use farm_memory::{Addr, RegionId};
-use farm_net::{NodeId, PhaseLabel};
+use farm_net::NodeId;
 use parking_lot::Mutex;
 
 use crate::engine::NodeEngine;
 use crate::stats::EngineStats;
-
-use super::driver::{install_held_lock, HeldLock};
-use super::plan::CommitPlan;
-
-/// What [`Backlog::help_install`] found behind a locked slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Help {
-    /// No durable transaction holds the lock: ordinary contention.
-    NotPending,
-    /// This thread applied the install and released the lock: retry at
-    /// once.
-    Applied,
-    /// Another thread has claimed the install and not applied it yet: the
-    /// lock is about to go, but only that thread can release it, so back
-    /// off before retrying.
-    Claimed,
-}
-
-/// Bounded exponential backoff for a thread that observes a lock it cannot
-/// release itself: a read of a locked head version, or a locker waiting on
-/// an install another thread has claimed ([`Help::Claimed`]).
-///
-/// The holder of a commit lock releases it within a few microseconds (install
-/// or unwind), so the ladder starts with cheap spins and escalates to yields
-/// and short sleeps; once the budget is exhausted the caller aborts (a read
-/// is counted under `read_lock_retries_exhausted`).
-pub(crate) struct LockBackoff {
-    budget: u32,
-    attempt: u32,
-}
-
-impl LockBackoff {
-    pub(crate) fn new(budget: u32) -> LockBackoff {
-        LockBackoff { budget, attempt: 0 }
-    }
-
-    /// Waits out one backoff step. Returns `false` once the retry budget is
-    /// exhausted (the caller must abort instead of retrying again).
-    pub(crate) fn wait(&mut self) -> bool {
-        if self.attempt >= self.budget {
-            return false;
-        }
-        let step = self.attempt.min(10);
-        if step < 4 {
-            // 1, 2, 4, 8 spins.
-            for _ in 0..(1u32 << step) {
-                std::hint::spin_loop();
-            }
-        } else if step < 7 {
-            std::thread::yield_now();
-        } else {
-            // 1, 2, 4, 8 µs, capped.
-            std::thread::sleep(std::time::Duration::from_micros(1 << (step - 7)));
-        }
-        self.attempt += 1;
-        true
-    }
-}
 
 /// One object's worth of a replicated COMMIT-BACKUP record.
 pub(crate) struct RecordIntent {
@@ -132,117 +66,6 @@ pub(crate) struct LogEntry {
     pub intents: Vec<RecordIntent>,
 }
 
-/// A durably committed transaction whose COMMIT-PRIMARY installs have not
-/// all landed yet (stage 2 of the commit lifecycle). Holds the plan and the
-/// locks; dropped once every destination has been claimed and processed.
-///
-/// Its destinations are the rows of the plan's destination table that took
-/// locks; each is claimable exactly once (the row's `install_claimed`).
-pub(crate) struct PendingInstall {
-    coordinator: NodeId,
-    write_ts: u64,
-    multi_version: bool,
-    plan: CommitPlan,
-    /// The held locks, ascending by global address — hence by group.
-    locked: Vec<HeldLock>,
-    /// Destinations not yet processed.
-    remaining: AtomicUsize,
-}
-
-impl PendingInstall {
-    /// Packages an early-acked commit's leftover state. `locked` must be in
-    /// ascending global address order (as the LOCK phase leaves it).
-    pub(crate) fn new(
-        coordinator: NodeId,
-        write_ts: u64,
-        multi_version: bool,
-        plan: CommitPlan,
-        locked: Vec<HeldLock>,
-    ) -> PendingInstall {
-        let remaining = AtomicUsize::new(Self::dests(&plan).count());
-        PendingInstall {
-            coordinator,
-            write_ts,
-            multi_version,
-            plan,
-            locked,
-            remaining,
-        }
-    }
-
-    /// The indices of the destination rows that hold locks to install.
-    fn dests(plan: &CommitPlan) -> impl Iterator<Item = usize> + '_ {
-        (0..plan.dest_table().len()).filter(|&di| plan.dest_table()[di].lock_ops > 0)
-    }
-
-    /// The coordinator that committed this transaction.
-    pub(crate) fn coordinator(&self) -> NodeId {
-        self.coordinator
-    }
-
-    /// The transaction's write timestamp.
-    pub(crate) fn write_ts(&self) -> u64 {
-        self.write_ts
-    }
-
-    /// Number of destination primaries still referenced by this install.
-    pub(crate) fn dest_count(&self) -> usize {
-        Self::dests(&self.plan).count()
-    }
-
-    /// The held locks of destination `di`, group by group, ascending.
-    fn locks_of(&self, di: usize) -> impl Iterator<Item = &HeldLock> + '_ {
-        let dest = &self.plan.dest_table()[di];
-        self.plan.primary_groups(dest).iter().flat_map(move |&gi| {
-            let start = self.locked.partition_point(|h| h.group < gi);
-            let end = self.locked.partition_point(|h| h.group <= gi);
-            &self.locked[start..end]
-        })
-    }
-
-    fn addr_of(&self, held: &HeldLock) -> Addr {
-        self.plan.intents()[held.intent].addr
-    }
-
-    /// Claims and processes every destination not already claimed; returns
-    /// how many this call processed.
-    pub(crate) fn install_all(&self, engine: &NodeEngine, backlog: &Backlog) -> usize {
-        Self::dests(&self.plan)
-            .filter(|&di| self.install_dest(engine, backlog, di))
-            .count()
-    }
-
-    /// Claims and processes destination `di`: applies its installs in
-    /// ascending address order (skipping a destination whose node has died —
-    /// the data survives in the backup logs), withdraws the address-index
-    /// entries, and, when this was the last destination, raises the
-    /// coordinator's truncation watermark. Returns whether *this* call did
-    /// the work (false when another thread already claimed it).
-    pub(crate) fn install_dest(&self, engine: &NodeEngine, backlog: &Backlog, di: usize) -> bool {
-        let dest = &self.plan.dest_table()[di];
-        if dest.install_claimed.swap(true, Ordering::AcqRel) {
-            return false;
-        }
-        let started = Instant::now();
-        let alive = engine.cluster().node(dest.node).is_alive();
-        for held in self.locks_of(di) {
-            if alive {
-                install_held_lock(engine, &self.plan, held, self.write_ts, self.multi_version);
-            }
-            backlog.index_remove(self.addr_of(held));
-        }
-        EngineStats::bump(&engine.stats.installs_background);
-        engine.meter.stats().phases().record(
-            PhaseLabel::InstallPrimary,
-            started.elapsed().as_nanos() as u64,
-        );
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            backlog.trunc_complete(self.coordinator, self.write_ts);
-        }
-        true
-    }
-}
-
 /// Per-coordinator truncation state: which of its write timestamps are still
 /// pending installation, the resulting `truncate_below` watermark, and how
 /// far each destination has been brought up to it.
@@ -264,25 +87,16 @@ struct TruncState {
     flusher_saw: AtomicU64,
 }
 
-/// One address-index entry: the pending install covering the address and
-/// the index of the destination that owns it.
-type IndexedInstall = (Arc<PendingInstall>, usize);
-
 /// Cluster-shared commit-completion state; one per [`crate::Engine`], shared
 /// by every [`NodeEngine`]. See the module docs.
 pub(crate) struct Backlog {
     /// Handles of every machine, for applying log entries to replicas.
     nodes: Vec<Arc<NodeHandle>>,
-    /// Locked-address → (pending install, destination index), sharded so
-    /// commit enqueue/withdraw and reader lookups don't contend on one lock.
-    index: Vec<Mutex<HashMap<Addr, IndexedInstall>>>,
     /// Per-node backup redo logs.
     logs: Vec<Mutex<VecDeque<LogEntry>>>,
     /// Per-coordinator truncation state.
     trunc: Vec<TruncState>,
 }
-
-const INDEX_SHARDS: usize = 64;
 
 impl Backlog {
     /// Builds the backlog for a cluster of `nodes`.
@@ -290,9 +104,6 @@ impl Backlog {
         let n = nodes.len();
         Backlog {
             nodes,
-            index: (0..INDEX_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
             logs: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
             trunc: (0..n)
                 .map(|_| TruncState {
@@ -303,51 +114,6 @@ impl Backlog {
                     flusher_saw: AtomicU64::new(0),
                 })
                 .collect(),
-        }
-    }
-
-    fn shard_of(addr: Addr) -> usize {
-        // Cheap mix of the address components; slots dominate spread.
-        let h = (addr.region.0 as usize)
-            .wrapping_mul(31)
-            .wrapping_add(addr.slab as usize)
-            .wrapping_mul(31)
-            .wrapping_add(addr.slot as usize);
-        h % INDEX_SHARDS
-    }
-
-    /// Publishes the address index of a pending install (called before the
-    /// early ack is reported, so any reader that observes the still-held
-    /// locks can already find the entry).
-    pub(crate) fn index_insert(&self, pi: &Arc<PendingInstall>) {
-        for di in PendingInstall::dests(&pi.plan) {
-            for held in pi.locks_of(di) {
-                let addr = pi.addr_of(held);
-                self.index[Self::shard_of(addr)]
-                    .lock()
-                    .insert(addr, (Arc::clone(pi), di));
-            }
-        }
-    }
-
-    fn index_remove(&self, addr: Addr) {
-        self.index[Self::shard_of(addr)].lock().remove(&addr);
-    }
-
-    /// A reader / locker / validator hit a locked slot: if the lock belongs
-    /// to an already-durable transaction, claim and apply its destination's
-    /// install — or find that another thread already claimed it. See
-    /// [`Help`] for what the caller does next.
-    pub(crate) fn help_install(&self, engine: &NodeEngine, addr: Addr) -> Help {
-        let entry = self.index[Self::shard_of(addr)].lock().get(&addr).cloned();
-        let Some((pi, di)) = entry else {
-            return Help::NotPending;
-        };
-        EngineStats::bump(&engine.stats.install_helps);
-        if pi.install_dest(engine, self, di) {
-            Help::Applied
-        } else {
-            Help::Claimed
         }
     }
 
@@ -365,6 +131,26 @@ impl Backlog {
     /// Number of untruncated log entries held at `dest` (tests/reporting).
     pub(crate) fn log_len(&self, dest: NodeId) -> usize {
         self.logs[dest.index()].lock().len()
+    }
+
+    /// Applies the intents of `entry` that fall in `region` (all of them
+    /// when `None`) to `node`'s replicas; returns how many it applied.
+    fn apply_entry(node: &NodeHandle, entry: &LogEntry, region: Option<RegionId>) -> usize {
+        let mut applied = 0;
+        for intent in &entry.intents {
+            if region.is_some_and(|r| r != intent.addr.region) {
+                continue;
+            }
+            node.regions().ensure(intent.addr.region).apply_replicated(
+                intent.addr,
+                intent.slab_size,
+                entry.write_ts,
+                &intent.data,
+                intent.free,
+            );
+            applied += 1;
+        }
+        applied
     }
 
     /// Raises the watermark delivered from `coordinator` to `dest` to `below`
@@ -387,16 +173,7 @@ impl Backlog {
                 return true;
             }
             if alive {
-                for intent in &e.intents {
-                    let replica = node.regions().ensure(intent.addr.region);
-                    replica.apply_replicated(
-                        intent.addr,
-                        intent.slab_size,
-                        e.write_ts,
-                        &intent.data,
-                        intent.free,
-                    );
-                }
+                Self::apply_entry(node, e, None);
             }
             false
         });
@@ -414,19 +191,8 @@ impl Backlog {
         let replica = node.regions().ensure(region);
         let mut log = self.logs[new_primary.index()].lock();
         log.retain_mut(|e| {
-            e.intents.retain(|intent| {
-                if intent.addr.region != region {
-                    return true;
-                }
-                replica.apply_replicated(
-                    intent.addr,
-                    intent.slab_size,
-                    e.write_ts,
-                    &intent.data,
-                    intent.free,
-                );
-                false
-            });
+            Self::apply_entry(node, e, Some(region));
+            e.intents.retain(|intent| intent.addr.region != region);
             !e.intents.is_empty()
         });
         drop(log);
@@ -443,24 +209,15 @@ impl Backlog {
     /// and any overlap with the state copy — idempotent. Returns how many
     /// intents were replayed.
     pub(crate) fn catch_up_region(&self, region: RegionId, new_backup: NodeId) -> usize {
-        let replica = self.nodes[new_backup.index()].regions().ensure(region);
+        let node = &self.nodes[new_backup.index()];
+        let replica = node.regions().ensure(region);
         let mut applied = 0usize;
         for (i, log) in self.logs.iter().enumerate() {
             if i == new_backup.index() || !self.nodes[i].is_alive() {
                 continue;
             }
-            let log = log.lock();
-            for entry in log.iter() {
-                for intent in entry.intents.iter().filter(|it| it.addr.region == region) {
-                    replica.apply_replicated(
-                        intent.addr,
-                        intent.slab_size,
-                        entry.write_ts,
-                        &intent.data,
-                        intent.free,
-                    );
-                    applied += 1;
-                }
+            for entry in log.lock().iter() {
+                applied += Self::apply_entry(node, entry, Some(region));
             }
         }
         if applied > 0 {
@@ -564,71 +321,9 @@ impl Backlog {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
-
     use farm_kernel::{Cluster, ClusterConfig};
 
     use super::*;
-    use crate::engine::Engine;
-    use crate::opts::EngineConfig;
-
-    #[test]
-    fn a_blind_overwrite_waits_for_an_install_another_thread_claimed() {
-        // No background pass for an hour: only this test drains installs.
-        let config = EngineConfig {
-            gc_interval: Duration::from_secs(3600),
-            ..EngineConfig::default()
-        };
-        let engine = Engine::start_cluster(ClusterConfig::test(3), config);
-        let (first, second) = (engine.node(NodeId(0)), engine.node(NodeId(1)));
-        let mut setup = first.begin();
-        let addr = setup
-            .alloc_in(first.home_region().unwrap(), vec![0u8; 16])
-            .unwrap();
-        setup.commit().unwrap();
-        engine.quiesce();
-
-        // An early-acked commit leaves its install pending, and some thread
-        // claims that install and is descheduled before applying it.
-        let mut tx = first.begin();
-        tx.write(addr, vec![1u8; 16]).unwrap();
-        tx.commit().unwrap();
-        let (install, di) = first.backlog().index[Backlog::shard_of(addr)]
-            .lock()
-            .get(&addr)
-            .cloned()
-            .expect("install pending");
-        let claimed = &install.plan.dest_table()[di].install_claimed;
-        claimed.store(true, Ordering::Release);
-        let claimer = {
-            let (first, second) = (Arc::clone(&first), Arc::clone(&second));
-            std::thread::spawn(move || {
-                // Resume as soon as the overwrite below has found the
-                // claimed install (and is backing off on it). Whichever of
-                // this thread and the overwrite's next help takes the
-                // released claim applies the install.
-                let deadline = Instant::now() + Duration::from_secs(1);
-                while second.stats().install_helps == 0 && Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
-                let claimed = &install.plan.dest_table()[di].install_claimed;
-                claimed.store(false, Ordering::Release);
-                install.install_dest(&first, first.backlog(), di);
-            })
-        };
-
-        // From another coordinator: a blind overwrite of the same object.
-        let mut overwrite = second.begin();
-        overwrite.overwrite(addr, vec![2u8; 16]).unwrap();
-        let result = overwrite.commit();
-        claimer.join().unwrap();
-        assert!(result.is_ok(), "blind overwrite failed: {result:?}");
-        engine.quiesce();
-        let mut check = second.begin();
-        assert_eq!(&check.read(addr).unwrap()[..], &[2u8; 16]);
-        check.commit().unwrap();
-        engine.shutdown();
-    }
 
     #[test]
     fn catch_up_region_replays_other_live_logs_without_regressing_or_consuming_them() {

@@ -13,13 +13,11 @@
 //!    COMMIT-BACKUP is acked, so the driver finishes there and the caller
 //!    gets its result: COMMIT-PRIMARY messages are *posted* (metered,
 //!    fire-and-forget) but not waited for.
-//! 2. **Background install** — the held locks, plan and write timestamp move
-//!    into a `PendingInstall` on the engine's backlog, drained
-//!    opportunistically (at the next `begin`, in pipeline dead time, by the
-//!    background thread). A reader — or a locker,
-//!    or a validator — that hits a still-locked slot of a durable
-//!    transaction **helps complete that destination's install** instead of
-//!    backing off or aborting.
+//! 2. **Install at issue** — COMMIT-PRIMARY's destination-side work runs
+//!    when the message is posted, like every other verb's: each live
+//!    primary applies its held locks in ascending address order and
+//!    unlocks, before the driver seals. No flight is awaited for it, and a
+//!    lock therefore only ever belongs to a commit that is still in flight.
 //! 3. **Lazy truncation** — TRUNCATE is no longer a standalone message: once
 //!    all of a coordinator's transactions at or below some write timestamp
 //!    have installed, that `truncate_below` watermark piggybacks on the next
@@ -85,7 +83,7 @@ use crate::opts::{IsolationLevel, MvPolicy, TxOptions};
 use crate::stats::EngineStats;
 use crate::tx::CommitInfo;
 
-use super::backlog::{Help, LockBackoff, LogEntry, PendingInstall, RecordIntent};
+use super::backlog::{LogEntry, RecordIntent};
 use super::plan::{CommitPlan, Destination, IntentKind};
 use super::unwind::unwind;
 
@@ -99,8 +97,8 @@ pub enum CommitPhase {
     /// COMMIT-BACKUP: one RDMA write per backup destination, NIC-acked. The
     /// write-timestamp uncertainty wait (and, for SI, the acquisition
     /// itself) runs while these writes are in flight. The commit
-    /// **completes** at the end of this phase; COMMIT-PRIMARY installs and
-    /// truncation are the backlog's job.
+    /// **completes** at the end of this phase, where COMMIT-PRIMARY is
+    /// posted and applied; truncation is the backlog's job.
     ReplicateBackups,
     /// Acquire the write timestamp (serializable): only the upper bound is
     /// taken here; the uncertainty wait is deferred into
@@ -144,7 +142,7 @@ enum Step {
     /// Move to the next phase.
     Next(CommitPhase),
     /// The commit is durable at this write timestamp (every COMMIT-BACKUP
-    /// acked); its installs now belong to the backlog.
+    /// acked) and installed at every live primary.
     Finish(u64),
 }
 
@@ -205,17 +203,13 @@ pub struct CommitDriver {
 }
 
 /// A driver has no thread affinity (every phase is an issue/finish pair
-/// against engine-shared state), and two things rely on it: a
-/// [`CommitPipeline`](crate::CommitPipeline) full of drivers moves into
-/// whichever client thread owns it (the `benchmark/` package's `Client:
-/// Send` does exactly that), and the held locks — [`SlotRef`]s, slab
-/// handles — move into the install backlog and are applied from whichever
-/// thread drains it, hence the second line.
+/// against engine-shared state), and a
+/// [`CommitPipeline`](crate::CommitPipeline) full of drivers relies on it:
+/// it moves into whichever client thread owns it (the `benchmark/`
+/// package's `Client: Send` does exactly that).
 const _: () = {
     const fn assert_send<T: Send>() {}
-    const fn assert_shared_handle<T: Send + Sync + Clone>() {}
     assert_send::<CommitDriver>();
-    assert_shared_handle::<SlotRef>();
 };
 
 impl CommitDriver {
@@ -300,9 +294,9 @@ impl CommitDriver {
             // (the last COMMIT-BACKUP ack): survivors cannot learn its
             // outcome, so it unwinds — locks release, allocations roll back.
             // This models the survivor-side unwind of an *undecided* orphan.
-            // Every phase the driver can be in precedes durability; from the
-            // ack on, the transaction is decided and its installs roll
-            // forward in the backlog.
+            // Every phase the driver can be in precedes durability; the step
+            // that finds every ack also installs, so a decided transaction
+            // leaves no lock behind.
             if !self.engine.is_alive() {
                 EngineStats::bump(&self.engine.stats.orphans_rolled_back);
                 let err = self.abort(AbortReason::CoordinatorDead);
@@ -390,16 +384,16 @@ impl CommitDriver {
                     // Residual deferred uncertainty wait — normally zero,
                     // the phase deadline already covered it (issue folded
                     // the estimate in). Completing it here, before the
-                    // install enqueue below, is what keeps writes unexposed
-                    // until the timestamp is in the past: strictness is
+                    // installs below, is what keeps writes unexposed until
+                    // the timestamp is in the past: strictness is
                     // preserved.
                     let clock = Arc::clone(self.engine.handle().clock());
                     let waited = clock.complete_deferred_wait(target);
                     self.record_write_wait(waited, true);
                 }
                 // The transaction is durable: every COMMIT-BACKUP is acked.
-                // Post COMMIT-PRIMARY, hand the installs to the backlog, and
-                // report success — stages 2 and 3 run in the background.
+                // Post and apply COMMIT-PRIMARY and report success; only
+                // truncation (stage 3) is left to the background.
                 self.early_ack_finish()
             }
         })
@@ -568,7 +562,7 @@ impl CommitDriver {
             EngineStats::bump(&stats.validate_batches);
             EngineStats::add(&stats.validate_batch_objects, batch.len() as u64);
             piggyback(engine, primary);
-            let work = || validate_at_destination(engine, batch, read_ts);
+            let work = || validate_at_destination(batch, read_ts);
             if primary == engine.id() {
                 EngineStats::add(&stats.read_local_bypass, batch.len() as u64);
                 set.issue_local(primary, work);
@@ -648,12 +642,15 @@ impl CommitDriver {
 
     /// Completes an early-acked commit: materialize the COMMIT-BACKUP
     /// records in the backup redo logs (they are durable now — every ack
-    /// drained), post the COMMIT-PRIMARY messages (metered, fire-and-forget),
-    /// initialize this transaction's allocations eagerly (they carry no lock,
-    /// so helpers could not finish them), and hand the held locks to the
-    /// backlog as a [`PendingInstall`].
+    /// drained), initialize this transaction's allocations, and post the
+    /// COMMIT-PRIMARY messages (metered, never awaited) with their
+    /// destination-side work run at once, as every other verb's is: each
+    /// live primary installs its held locks in ascending address order and
+    /// unlocks. A dead primary's installs are skipped; the backup promoted
+    /// in its place replays them from its redo log. The truncation
+    /// reservation is withdrawn last, raising the watermark.
     fn early_ack_finish(&mut self) -> Step {
-        let engine = Arc::clone(&self.engine);
+        let engine: &NodeEngine = &self.engine;
         let write_ts = self.write_ts;
         let multi_version = engine.config().mv_policy.is_some();
         let plan = &self.plan;
@@ -683,8 +680,7 @@ impl CommitDriver {
                 );
             }
             // COMMIT-PRIMARY is posted now (the message is on the wire,
-            // hence metered) but never awaited: its destination-side
-            // processing is the backlog's job.
+            // hence metered) but never awaited.
             if dest.install_ops > 0 {
                 engine
                     .meter
@@ -692,9 +688,8 @@ impl CommitDriver {
                 EngineStats::bump(&engine.stats.primary_batches);
             }
         }
-        // Allocations initialize eagerly: fresh slots are invisible (not
-        // locked) until initialized, so a reader could not help them the way
-        // it helps locked updates.
+        // Allocations carry no lock: their fresh slots stay invisible until
+        // initialized here.
         for (gi, group) in plan.groups.iter().enumerate() {
             for intent in plan.group_intents(gi) {
                 if intent.kind != IntentKind::Alloc {
@@ -705,24 +700,34 @@ impl CommitDriver {
                 }
             }
         }
-        for &addr in &self.plan.cancelled_allocs {
+        for &addr in &plan.cancelled_allocs {
             if let Ok((_p, region)) = engine.primary_region_of(addr) {
                 let _ = region.free(addr);
             }
         }
-        // Hand the held locks to the backlog. The truncation reservation
-        // transfers with them: it is withdrawn (raising the watermark) when
-        // the last destination installs.
-        let plan = std::mem::take(&mut self.plan);
-        let locked = std::mem::take(&mut self.locked);
+        // COMMIT-PRIMARY's destination-side work: `locked` is ascending by
+        // global address, hence by group.
+        let locked = &self.locked;
+        for dest in plan.dest_table().iter().filter(|d| d.lock_ops > 0) {
+            let started = Instant::now();
+            if engine.cluster().node(dest.node).is_alive() {
+                for &gi in plan.primary_groups(dest) {
+                    let start = locked.partition_point(|h| h.group < gi);
+                    let end = locked.partition_point(|h| h.group <= gi);
+                    for held in &locked[start..end] {
+                        install_held_lock(engine, plan, held, write_ts, multi_version);
+                    }
+                }
+            }
+            EngineStats::bump(&engine.stats.installs_background);
+            engine.meter.stats().phases().record(
+                PhaseLabel::InstallPrimary,
+                started.elapsed().as_nanos() as u64,
+            );
+        }
+        self.locked.clear();
         self.trunc_registered = false;
-        engine.enqueue_install(PendingInstall::new(
-            engine.id(),
-            write_ts,
-            multi_version,
-            plan,
-            locked,
-        ));
+        engine.backlog().trunc_complete(engine.id(), write_ts);
         Step::Finish(write_ts)
     }
 
@@ -784,12 +789,9 @@ impl Drop for CommitDriver {
 /// them together with every other destination's, preserving the single
 /// central abort path.
 ///
-/// A conflict against a lock held by an **already-durable** transaction
-/// (early-acked, install still pending) is not a real conflict: the locker
-/// helps complete that install and retries the batch, exactly as a real
-/// primary would process the straggler COMMIT-PRIMARY first. When another
-/// thread holds the claim to that install, the locker backs off
-/// (`read_lock_retries` steps) until the claimer has applied it.
+/// A lock only ever belongs to a commit still in flight (a decided commit
+/// installs before its driver seals), so a conflict fails the batch at
+/// once.
 fn lock_at_destination(
     engine: &NodeEngine,
     plan: &CommitPlan,
@@ -809,24 +811,14 @@ fn lock_at_destination(
             let addr = entries[0].0;
             return Some((addr, AbortReason::NodeUnavailable(addr)));
         }
-        let mut backoff = LockBackoff::new(engine.config().read_lock_retries);
-        let slots = loop {
-            match group.region_handle.try_lock_batch(entries) {
-                Ok(slots) => break slots,
-                Err(failure) => {
-                    if failure.outcome == LockOutcome::Conflict {
-                        match engine.help_install(failure.addr) {
-                            Help::Applied => continue,
-                            Help::Claimed if backoff.wait() => continue,
-                            Help::Claimed | Help::NotPending => {}
-                        }
-                    }
-                    let reason = match failure.outcome {
-                        LockOutcome::NotAllocated => AbortReason::BadAddress(failure.addr),
-                        _ => AbortReason::LockConflict(failure.addr),
-                    };
-                    return Some((failure.addr, reason));
-                }
+        let slots = match group.region_handle.try_lock_batch(entries) {
+            Ok(slots) => slots,
+            Err(failure) => {
+                let reason = match failure.outcome {
+                    LockOutcome::NotAllocated => AbortReason::BadAddress(failure.addr),
+                    _ => AbortReason::LockConflict(failure.addr),
+                };
+                return Some((failure.addr, reason));
             }
         };
         let start = locked.len();
@@ -934,21 +926,12 @@ fn allocate_old_version(
 
 /// Validates one destination's batch of header reads. Returns the first
 /// (smallest, entries are sorted) failing address, or `None` when the whole
-/// batch validates. A locked header belonging to an already-durable
-/// transaction is resolved by helping its install — the re-read header then
-/// decides honestly (a newer installed version still fails validation).
-fn validate_at_destination(
-    engine: &NodeEngine,
-    entries: &[Unvalidated],
-    read_ts: u64,
-) -> Option<Addr> {
+/// batch validates. A locked header fails: its holder is a commit in flight.
+fn validate_at_destination(entries: &[Unvalidated], read_ts: u64) -> Option<Addr> {
     for (_, addr, region) in entries {
         let ok = match region.slot(*addr) {
             Ok(slot) => {
-                let mut h = slot.header_snapshot();
-                if h.locked && engine.help_install(*addr) != Help::NotPending {
-                    h = slot.header_snapshot();
-                }
+                let h = slot.header_snapshot();
                 // The snapshot is still current iff no version (or
                 // tombstone) newer than the read timestamp was installed
                 // (Algorithm 2, line 19).
@@ -965,9 +948,9 @@ fn validate_at_destination(
 
 /// Applies one held lock at its primary: install-and-unlock for updates,
 /// tombstone (multi-version) or clear (single-version) for frees, linking
-/// the old-version chain and arming its GC time. Run by the backlog's
-/// [`PendingInstall`] drain and help paths.
-pub(crate) fn install_held_lock(
+/// the old-version chain and arming its GC time. Run by COMMIT-PRIMARY's
+/// destination-side work in `early_ack_finish`.
+fn install_held_lock(
     engine: &NodeEngine,
     plan: &CommitPlan,
     held: &HeldLock,

@@ -13,11 +13,11 @@
 //! * [`driver`] — the [`CommitDriver`] state machine with explicit phases
 //!   (`Lock → [AcquireWriteTs → Validate] → ReplicateBackups`, the bracketed
 //!   pair serializable only), one batched metered message per destination
-//!   per phase. The commit completes at the last COMMIT-BACKUP ack. Each
+//!   per phase. The commit completes at the last COMMIT-BACKUP ack, where
+//!   COMMIT-PRIMARY is posted and applied. Each
 //!   phase is split into an *issue* and a *finish* half so the driver can
 //!   be stepped without blocking.
-//! * `backlog` — the three-stage commit-completion state: pending
-//!   COMMIT-PRIMARY installs (claimable by helpers), backup redo logs, and
+//! * `backlog` — what outlives a commit: backup redo logs, and
 //!   per-coordinator `truncate_below` watermarks piggybacked on outgoing
 //!   verbs instead of standalone TRUNCATE messages.
 //! * [`pipeline`] — the per-thread [`CommitPipeline`]: one worker keeps up

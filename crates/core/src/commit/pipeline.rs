@@ -22,16 +22,13 @@
 //! fall within a 2 µs wake quantum: it targets the latest deadline inside
 //! the window, so one wakeup advances every flight in the batch. No verb
 //! ever completes early — the sleep target is itself a deadline, and all
-//! batched deadlines are at or before it. Dead time (every in-flight commit
-//! waiting on the wire) is spent draining the engine's pending-install
-//! backlog, exactly where a real worker would process its completion-queue
-//! backlog.
+//! batched deadlines are at or before it.
 //!
 //! The reactor keeps per-flight cycle accounting ([`PipelineTimings`]):
-//! wall-clock splits into *issue* (advancing drivers — the serial CPU),
-//! *wait* (deadline sleeps), and *drain* (backlog installs), which is what
-//! the `benchmark/` package's `kv_pipeline_dc` workload reads to report the
-//! serial fraction and CPU per commit.
+//! wall-clock splits into *issue* (advancing drivers — the serial CPU,
+//! COMMIT-PRIMARY installs included) and *wait* (deadline sleeps), which is
+//! what the `benchmark/` package's `kv_pipeline_dc` workload reads to
+//! report the serial fraction and CPU per commit.
 //!
 //! In-flight transactions of one pipeline are truly concurrent commits:
 //! they must write **disjoint** objects, or the later one aborts on a lock
@@ -85,18 +82,15 @@ impl Ord for Waiting {
 
 /// Per-flight cycle accounting for one reactor.
 ///
-/// Wall-clock decomposes as `issue + wait + drain` plus untracked scheduler
+/// Wall-clock decomposes as `issue + wait` plus untracked scheduler
 /// epsilon. `issue` is the serial protocol CPU (building records, lock
-/// tables, indexes); `wait` is deadline flight time; `drain` is backlog
-/// install work done in dead time.
+/// tables, indexes, installs); `wait` is deadline flight time.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PipelineTimings {
     /// Nanoseconds spent advancing drivers (issue/finish halves of phases).
     pub issue_ns: u64,
     /// Nanoseconds spent sleeping/spinning to completion deadlines.
     pub wait_ns: u64,
-    /// Nanoseconds spent draining the pending-install backlog in dead time.
-    pub drain_ns: u64,
     /// Sweeps that advanced at least one flight.
     pub sweeps: u64,
     /// Deadline sleeps taken (each may complete a whole batch of verbs).
@@ -112,7 +106,7 @@ pub struct PipelineTimings {
 impl PipelineTimings {
     /// CPU-busy nanoseconds: everything but deadline waits.
     pub fn busy_ns(&self) -> u64 {
-        self.issue_ns + self.drain_ns
+        self.issue_ns
     }
 
     /// Fraction of tracked wall-clock spent CPU-busy — the serial fraction
@@ -283,9 +277,8 @@ impl CommitPipeline {
     }
 
     /// Pumps until at most `target` commits remain in flight: sweep the
-    /// ready flights, spend dead time on the engine's pending-install
-    /// backlog, and sleep once for the whole batch of deadlines within the
-    /// wake quantum of the earliest one.
+    /// ready flights, and sleep once for the whole batch of deadlines within
+    /// the wake quantum of the earliest one.
     fn pump_until(&mut self, target: usize) {
         let mut slept = false;
         while self.in_flight() > target {
@@ -298,11 +291,6 @@ impl CommitPipeline {
                     // sweep advances rode the one wakeup.
                     self.timings.coalesced += advanced as u64 - 1;
                 }
-                continue;
-            }
-            // Every flight is on the wire: background work first.
-            if self.engine.drain_pending_installs() > 0 {
-                self.timings.drain_ns += now.elapsed().as_nanos() as u64;
                 continue;
             }
             let Some(batch_end) = coalesced_target(&self.waiting) else {

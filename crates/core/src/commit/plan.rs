@@ -15,12 +15,11 @@
 //! [`Destination`] row per machine the commit talks to, holding the groups
 //! that machine is primary for, the groups it backs up, and the ops and
 //! wire bytes of its LOCK, COMMIT-PRIMARY and COMMIT-BACKUP messages. Every
-//! phase, the backup redo records and the install backlog read this one
-//! table, so their accounting cannot drift apart and no phase rebuilds it.
+//! phase, the backup redo records and the COMMIT-PRIMARY installs read this
+//! one table, so their accounting cannot drift apart and no phase rebuilds it.
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -116,13 +115,9 @@ pub(crate) struct Destination {
     pub backup_ops: u64,
     /// Wire bytes of its COMMIT-BACKUP record.
     pub backup_bytes: usize,
-    /// Set by the first thread that applies this destination's
-    /// COMMIT-PRIMARY installs once the plan has moved into the backlog.
-    pub install_claimed: AtomicBool,
 }
 
 /// The full commit plan of one transaction.
-#[derive(Default)]
 pub(crate) struct CommitPlan {
     /// The cluster's configuration epoch, read before routing was
     /// resolved: the commit is decided only if it is still current.
@@ -286,7 +281,6 @@ impl CommitPlan {
             install_bytes: 0,
             backup_ops: 0,
             backup_bytes: 0,
-            install_claimed: AtomicBool::new(false),
         }));
         // Pass 1: sizes, with each role's group count parked in its
         // range's `end`.

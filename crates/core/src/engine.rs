@@ -1,8 +1,7 @@
 //! Engine assembly: the cluster-wide [`Engine`] and per-machine
 //! [`NodeEngine`] handles.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -16,7 +15,7 @@ use farm_net::{CompletionSet, DispatchMode, NodeId, OneSidedMeter, Verb};
 use parking_lot::Mutex;
 
 use crate::active::{ActiveToken, ActiveTxTable};
-use crate::commit::backlog::{Backlog, Help, PendingInstall};
+use crate::commit::backlog::Backlog;
 use crate::error::{AbortReason, TxError};
 use crate::opts::{EngineConfig, TxOptions};
 use crate::stats::{EngineStats, EngineStatsSnapshot};
@@ -49,18 +48,9 @@ pub struct NodeEngine {
     pub(crate) active: Arc<ActiveTxTable>,
     next_serial: AtomicU64,
     pub(crate) stats: EngineStats,
-    /// Cluster-shared commit-completion backlog (pending installs, backup
-    /// redo logs, truncation watermarks). See [`crate::commit::backlog`].
+    /// Cluster-shared commit-completion backlog (backup redo logs,
+    /// truncation watermarks). See [`crate::commit::backlog`].
     backlog: Arc<Backlog>,
-    /// This engine's committed-but-not-installed transactions, drained
-    /// opportunistically (at `begin`, in pipeline dead time, by the
-    /// background thread) and raced by helping readers.
-    installs: Mutex<VecDeque<Arc<PendingInstall>>>,
-    /// Commits queued in `installs` **or claimed by a drain that is still
-    /// applying them** — the O(1) emptiness check for the hot path, and what
-    /// makes "zero" mean "everything enqueued so far is installed".
-    installs_len: AtomicUsize,
-    alive: AtomicBool,
 }
 
 impl NodeEngine {
@@ -87,9 +77,6 @@ impl NodeEngine {
             next_serial: AtomicU64::new(1),
             stats: EngineStats::default(),
             backlog,
-            installs: Mutex::new(VecDeque::new()),
-            installs_len: AtomicUsize::new(0),
-            alive: AtomicBool::new(true),
         })
     }
 
@@ -120,7 +107,7 @@ impl NodeEngine {
 
     /// Whether this node is still alive (not killed by fault injection).
     pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire) && self.handle.is_alive()
+        self.handle.is_alive()
     }
 
     /// Starts a transaction with default options (strict serializability).
@@ -128,10 +115,7 @@ impl NodeEngine {
         self.begin_with(TxOptions::default())
     }
 
-    /// Starts a transaction with explicit options. Pending COMMIT-PRIMARY
-    /// installs of this engine's earlier early-acked commits are drained
-    /// first (off the commit critical path — this is the opportunistic
-    /// stage-2 completion point of the lifecycle).
+    /// Starts a transaction with explicit options.
     ///
     /// A strict transaction takes its read timestamp without waiting: the
     /// uncertainty wait runs at its first snapshot read (`read`,
@@ -139,7 +123,6 @@ impl NodeEngine {
     /// first), so it overlaps whatever the caller does in between. A
     /// transaction dropped before then never waits.
     pub fn begin_with(self: &Arc<Self>, opts: TxOptions) -> Transaction {
-        self.drain_pending_installs();
         Transaction::start(Arc::clone(self), opts)
     }
 
@@ -198,7 +181,7 @@ impl NodeEngine {
     }
 
     // ------------------------------------------------------------------
-    // Commit-completion backlog (stages 2 and 3 of the commit lifecycle)
+    // Commit-completion backlog (stage 3 of the commit lifecycle)
     // ------------------------------------------------------------------
 
     /// The cluster-shared commit-completion backlog.
@@ -206,92 +189,23 @@ impl NodeEngine {
         &self.backlog
     }
 
-    /// Queues an early-acked commit's leftover installs. An install with no
-    /// destinations (pure allocations) completes immediately, releasing its
-    /// truncation reservation.
-    pub(crate) fn enqueue_install(&self, install: PendingInstall) {
-        if install.dest_count() == 0 {
-            self.backlog
-                .trunc_complete(install.coordinator(), install.write_ts());
-            return;
-        }
-        let install = Arc::new(install);
-        // Publish the address index before the queue entry so a reader that
-        // observes the still-held locks can already find (and help) it.
-        self.backlog.index_insert(&install);
-        self.installs_len.fetch_add(1, Ordering::Release);
-        self.installs.lock().push_back(install);
-    }
-
-    /// Drains this engine's pending COMMIT-PRIMARY installs: every
-    /// destination not already claimed by a helper is processed now.
-    /// Returns the number of destination installs this call performed. A
-    /// backlog with nothing queued and nothing being applied costs one
-    /// atomic load.
+    /// Vestigial, always 0: a commit applies its COMMIT-PRIMARY installs
+    /// before it returns, so nothing is ever left to drain. Kept because
+    /// the `benchmark/` package calls it.
     pub fn drain_pending_installs(&self) -> usize {
-        if self.installs_len.load(Ordering::Acquire) == 0 {
-            return 0;
-        }
-        // Take the installs queued now, one at a time: the queue keeps its
-        // buffer (no allocation per drain), and the installs run outside
-        // the lock so concurrent enqueuers never wait on install work.
-        let queued = self.installs.lock().len();
-        let mut done = 0;
-        for _ in 0..queued {
-            let Some(install) = self.installs.lock().pop_front() else {
-                // Another drain took the rest.
-                break;
-            };
-            done += install.install_all(self, &self.backlog);
-            // A claimed install stays counted until it is applied, so a
-            // concurrent `quiesce` never mistakes "claimed" for
-            // "installed".
-            self.installs_len.fetch_sub(1, Ordering::Release);
-        }
-        done
+        0
     }
 
-    /// Number of commits whose installs are still queued at this engine or
-    /// claimed by a drain that has not finished applying them.
+    /// Vestigial, always 0: no commit leaves an install pending (see
+    /// [`NodeEngine::drain_pending_installs`]). Kept because the
+    /// `benchmark/` package calls it.
     pub fn pending_installs(&self) -> usize {
-        self.installs_len.load(Ordering::Acquire)
-    }
-
-    /// Survivor-side recovery of a dead coordinator's in-flight commits.
-    /// Everything queued here is *decided*: the transaction reached
-    /// durability (all COMMIT-BACKUP acks) before the coordinator early-acked
-    /// it, so survivors roll it forward from the replicated redo state —
-    /// installs run (skipping dead destinations), locks release, and the
-    /// coordinator's truncation watermark is force-delivered to every node so
-    /// backup redo logs holding its records can truncate. Transactions that
-    /// had *not* reached durability never enqueued anything: their drivers
-    /// unwind with [`AbortReason::CoordinatorDead`], releasing any locks they
-    /// took. Between the two, a dead coordinator leaks no lock.
-    ///
-    /// Returns the number of decided transactions rolled forward. Idempotent
-    /// (installs are claim-based; watermark delivery is monotone).
-    pub fn recover_dead_coordinator(&self) -> usize {
-        let orphans = self.pending_installs();
-        self.drain_pending_installs();
-        if orphans > 0 {
-            EngineStats::add(&self.stats.orphans_rolled_forward, orphans as u64);
-        }
-        for dest in self.cluster.nodes() {
-            self.backlog.deliver_truncation(self, dest.id(), true);
-        }
-        orphans
-    }
-
-    /// A reader / locker / validator hit a locked slot: if the lock belongs
-    /// to an already-durable transaction, complete (or find another thread
-    /// completing) its install. See [`Help`].
-    pub(crate) fn help_install(&self, addr: Addr) -> Help {
-        self.backlog.help_install(self, addr)
+        0
     }
 
     /// This coordinator's current `truncate_below` watermark: every one of
-    /// its committed transactions at or below this write timestamp has
-    /// completed its installs. Monotone.
+    /// its transactions at or below this write timestamp has installed or
+    /// aborted. Monotone.
     pub fn truncation_watermark(&self) -> u64 {
         self.backlog.watermark(self.id)
     }
@@ -407,11 +321,12 @@ impl std::fmt::Debug for NodeEngine {
 ///   committed (early-acked) transactions whose COMMIT-PRIMARY never landed
 ///   at the failed primary are recovered from the log, never lost and never
 ///   observed torn.
-/// * **Orphan resolution** — when a new configuration commits, survivors
-///   reconstruct the outcomes a dead coordinator left in flight: decided
-///   transactions roll forward from the replicated redo state, undecided
-///   ones unwind in their own drivers, and the dead coordinator's truncation
-///   watermark is force-delivered so backup logs drain.
+/// * **Dead-coordinator truncation** — when a new configuration commits,
+///   the truncation watermark of every coordinator it removed is
+///   force-delivered, so backup logs holding its records drain. A dead
+///   coordinator leaves no lock to release: its undecided transactions
+///   unwind in their own drivers, and a decided one installed in the step
+///   that decided it.
 /// * **Log catch-up** — when background re-replication finishes its state
 ///   copy onto a new backup, commits that raced the copy are replayed onto
 ///   it from the surviving redo logs, restoring full redundancy.
@@ -442,15 +357,11 @@ impl RecoveryHooks for EngineHooks {
 
     fn on_config_committed(&self, config: &ConfigRecord) {
         for engine in self.engines() {
-            if config.contains(engine.id()) || engine.handle().is_alive() {
+            if config.contains(engine.id()) || engine.is_alive() {
                 continue;
             }
-            let rolled_forward = engine.recover_dead_coordinator();
-            if rolled_forward > 0 {
-                self.events.record(EventKind::OrphansRecovered {
-                    coordinator: engine.id(),
-                    rolled_forward,
-                });
+            for dest in engine.cluster.nodes() {
+                self.backlog.deliver_truncation(&engine, dest.id(), true);
             }
         }
     }
@@ -530,9 +441,8 @@ impl Engine {
             stop: Arc::new(AtomicBool::new(false)),
             gc_thread: Mutex::new(None),
         });
-        // Background GC driver; also drains straggler installs and flushes
-        // truncation watermarks that sat idle for a whole pass (no outgoing
-        // verb to piggyback on).
+        // Background GC driver; also flushes truncation watermarks that sat
+        // idle for a whole pass (no outgoing verb to piggyback on).
         let stop = Arc::clone(&engine.stop);
         let nodes_for_gc: Vec<Arc<NodeEngine>> = engine.nodes.clone();
         let interval = config.gc_interval;
@@ -555,12 +465,9 @@ impl Engine {
                         break;
                     }
                     for node in &nodes_for_gc {
-                        // Installs and truncation flushes run for dead nodes
-                        // too: survivors help a dead coordinator's decided
-                        // commits to completion (the replicated state needed
-                        // is cluster-shared), so locks never wait on an
-                        // explicit reconfiguration to release.
-                        node.drain_pending_installs();
+                        // Truncation flushes run for dead coordinators too,
+                        // so their backup-log records never wait on an
+                        // explicit reconfiguration to drain.
                         node.backlog.flush_idle(node);
                         if node.is_alive() {
                             collect_node_garbage(node.handle());
@@ -612,41 +519,23 @@ impl Engine {
     }
 
     /// Runs one old-version GC pass (including tombstone sweeps) on every
-    /// node immediately. Pending installs drain first so tombstones laid
-    /// down by early-acked frees are visible to the sweep.
+    /// node immediately.
     pub fn collect_garbage_now(&self) {
         for node in &self.nodes {
-            if node.is_alive() {
-                node.drain_pending_installs();
-            }
             collect_node_garbage(node.handle());
         }
     }
 
-    /// Settles the commit-completion backlog cluster-wide: every pending
-    /// COMMIT-PRIMARY install is applied and every truncation watermark is
-    /// force-delivered to every destination (each undelivered watermark
-    /// costs one standalone flush message, exactly as the idle flusher would
-    /// pay). After this, all committed state is installed at primaries and
-    /// mirrored at backups — the quiescent point benchmarks and tests settle
-    /// to before inspecting replicas. A barrier: installs another thread
-    /// (the background drain, a pipeline worker) has claimed but not yet
-    /// applied are waited for, so every commit acked before the call is
-    /// covered by the watermarks delivered.
+    /// Settles the commit-completion backlog cluster-wide: every truncation
+    /// watermark is force-delivered to every destination (each undelivered
+    /// watermark costs one standalone flush message, exactly as the idle
+    /// flusher would pay). A commit installs at its primaries before it
+    /// returns and raises its watermark as it does, so after this every
+    /// commit acked before the call is mirrored at its backups too — the
+    /// quiescent point benchmarks and tests settle to before inspecting
+    /// replicas. Dead coordinators' watermarks are delivered as well, so a
+    /// post-failure quiescent cluster holds no untruncated redo-log entry.
     pub fn quiesce(&self) {
-        // Dead nodes settle too: their queued (decided) installs are rolled
-        // forward by this surviving thread and their watermarks delivered,
-        // so a post-failure quiescent cluster holds no leaked locks and no
-        // untruncated redo-log entries.
-        for node in &self.nodes {
-            loop {
-                node.drain_pending_installs();
-                if node.pending_installs() == 0 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
         for node in &self.nodes {
             for dest in self.cluster.nodes() {
                 node.backlog.deliver_truncation(node, dest.id(), true);

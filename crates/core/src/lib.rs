@@ -19,8 +19,9 @@
 //!   in multi-version mode), write-timestamp acquisition with an uncertainty
 //!   wait *while holding locks*, read validation with one-sided reads and
 //!   COMMIT-BACKUP (awaiting only "hardware acks"), after which the commit
-//!   is acknowledged; COMMIT-PRIMARY (install + unlock) and TRUNCATE
-//!   (applying backup logs) complete in the background.
+//!   is acknowledged; COMMIT-PRIMARY (install + unlock) is posted without
+//!   waiting for it, and TRUNCATE (applying backup logs) completes in the
+//!   background.
 //! * **Isolation/strictness knobs** per transaction ([`TxOptions`]):
 //!   serializable vs snapshot isolation, strict vs non-strict, read-only
 //!   fast path (no validation at all in FaRMv2), eager validation

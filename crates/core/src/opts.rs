@@ -39,13 +39,12 @@ pub struct EngineConfig {
     /// for latency-composition experiments like Figure 13.
     pub latency: farm_net::LatencyModel,
     /// How many backoff steps a read takes when it observes a locked head
-    /// version before aborting; a locker waiting on a durable install that
-    /// another thread has claimed gets the same budget.
+    /// version before aborting.
     pub read_lock_retries: u32,
-    /// Interval of the background thread: old-version garbage collection,
-    /// straggler installs, and the standalone flush of a truncation
-    /// watermark that has not moved for a whole interval (under steady
-    /// commit traffic it piggybacks on protocol verbs instead).
+    /// Interval of the background thread: old-version garbage collection
+    /// and the standalone flush of a truncation watermark that has not
+    /// moved for a whole interval (under steady commit traffic it
+    /// piggybacks on protocol verbs instead).
     pub gc_interval: std::time::Duration,
 }
 

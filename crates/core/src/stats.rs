@@ -107,12 +107,13 @@ counters! {
     /// every destination, allocations rolled back).
     unwinds,
     // ---- Commit-completion backlog counters ------------------------------
-    /// Per-destination COMMIT-PRIMARY installs completed in the background
-    /// (by the committing engine's opportunistic drain or by helpers).
+    /// Per-destination COMMIT-PRIMARY installs, applied when the message is
+    /// posted at the last COMMIT-BACKUP ack (the name predates that: the
+    /// `benchmark/` package reads it).
     installs_background,
-    /// Times a reader / locker / validator hit a locked slot of an
-    /// already-durable transaction and helped complete its install instead
-    /// of backing off or aborting.
+    /// Vestigial, never bumped: no install is left for a reader, locker or
+    /// validator to help since every commit installs before it returns.
+    /// Kept because the `benchmark/` package reads it.
     install_helps,
     /// Truncation watermark deliveries piggybacked on outgoing LOCK /
     /// VALIDATE / COMMIT-BACKUP verbs (zero standalone messages).
@@ -121,9 +122,9 @@ counters! {
     /// a whole [`crate::EngineConfig::gc_interval`] pass.
     truncate_flushes,
     // ---- Failure-recovery counters --------------------------------------
-    /// Decided (early-acked) transactions of a dead coordinator rolled
-    /// forward by survivors: their pending COMMIT-PRIMARY installs were
-    /// completed from the replicated state and their locks released.
+    /// Vestigial, never bumped: a decided transaction installs in the step
+    /// that decides it, so a dead coordinator leaves none to roll forward.
+    /// Kept because the `benchmark/` package reads it.
     orphans_rolled_forward,
     /// Undecided transactions unwound because their coordinator died before
     /// the durability point (locks released, allocations rolled back).

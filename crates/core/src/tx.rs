@@ -12,12 +12,51 @@ use bytes::Bytes;
 use farm_clock::TsMode;
 use farm_memory::{Addr, ConsistentRead, OldAddr, OldVersion, RegionId};
 
-use crate::commit::backlog::{Help, LockBackoff};
 use crate::commit::{CommitDriver, CommitPlan};
 use crate::engine::NodeEngine;
 use crate::error::{AbortReason, TxError};
 use crate::opts::{IsolationLevel, TxOptions};
 use crate::stats::EngineStats;
+
+/// Bounded exponential backoff for a read that finds the head version
+/// locked.
+///
+/// The holder of a commit lock is a commit in flight, which releases it at
+/// its install or unwind, so the ladder starts with cheap spins and
+/// escalates to yields and short sleeps; once the budget is exhausted the
+/// read aborts (counted under `read_lock_retries_exhausted`).
+struct LockBackoff {
+    budget: u32,
+    attempt: u32,
+}
+
+impl LockBackoff {
+    fn new(budget: u32) -> LockBackoff {
+        LockBackoff { budget, attempt: 0 }
+    }
+
+    /// Waits out one backoff step. Returns `false` once the retry budget is
+    /// exhausted (the caller must abort instead of retrying again).
+    fn wait(&mut self) -> bool {
+        if self.attempt >= self.budget {
+            return false;
+        }
+        let step = self.attempt.min(10);
+        if step < 4 {
+            // 1, 2, 4, 8 spins.
+            for _ in 0..(1u32 << step) {
+                std::hint::spin_loop();
+            }
+        } else if step < 7 {
+            std::thread::yield_now();
+        } else {
+            // 1, 2, 4, 8 µs, capped.
+            std::thread::sleep(std::time::Duration::from_micros(1 << (step - 7)));
+        }
+        self.attempt += 1;
+        true
+    }
+}
 
 /// What [`Transaction::prepare_commit`] produced: either an already-decided
 /// outcome (read-only fast path, plan-build failure) or a commit driver
@@ -319,10 +358,8 @@ impl Transaction {
     /// Reads the slot at `addr` until its head version is not locked, then
     /// admits what it saw. `seen` is an outcome already observed by a
     /// batched read (the first pass then re-reads nothing); `None` starts
-    /// with a read. A lock held by an already-durable (early-acked)
-    /// transaction is not contention: its install is helped and the slot
-    /// re-read at once. Any other lock (or an install another thread has
-    /// claimed) is waited out with bounded exponential backoff.
+    /// with a read. A lock belongs to a commit in flight and is waited out
+    /// with bounded exponential backoff.
     fn read_slot(
         &mut self,
         primary: farm_net::NodeId,
@@ -344,7 +381,7 @@ impl Transaction {
             let ConsistentRead::Locked = result else {
                 return self.admit_read(primary, addr, result);
             };
-            if self.engine.help_install(addr) != Help::Applied && !backoff.wait() {
+            if !backoff.wait() {
                 EngineStats::bump(&self.engine.stats.read_lock_retries_exhausted);
                 return Err(self.execution_abort(AbortReason::ReadLockedObject(addr)));
             }

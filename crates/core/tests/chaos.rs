@@ -15,8 +15,8 @@
 //!   value written by the highest-timestamped *acknowledged* transfer that
 //!   touched it — no acked commit is lost, none is half-applied.
 //! * **No leaked locks**: after the final heal and a quiesce, every account
-//!   slot at its (possibly promoted) primary is unlocked, no engine holds
-//!   pending installs, and every backup redo log has truncated to empty.
+//!   slot at its (possibly promoted) primary is unlocked, and every backup
+//!   redo log has truncated to empty.
 //! * **GC never passes a live read**: each live node's global GC safe point
 //!   stays at or below its local oldest-active-transaction bound.
 
@@ -369,14 +369,8 @@ fn run_schedule(seed: u64) {
         );
     }
 
-    // No leaked locks, no pending installs, no untruncated redo logs.
+    // No leaked locks, no untruncated redo logs.
     for node in engine.nodes() {
-        assert_eq!(
-            node.pending_installs(),
-            0,
-            "seed {seed}: {:?} still holds pending installs after quiesce",
-            node.id()
-        );
         assert_eq!(
             node.backup_log_len(),
             0,
@@ -453,7 +447,7 @@ fn chaos_schedules_seeds_15_19() {
 
 /// A node that is primary for several regions dies: every one of its regions
 /// must promote a backup, and each promoted backup must replay the redo-log
-/// records of early-acked commits whose COMMIT-PRIMARY never landed.
+/// records it still holds untruncated.
 #[test]
 fn all_regions_of_a_dead_primary_promote_and_replay() {
     let cfg = ClusterConfig {
@@ -487,9 +481,10 @@ fn all_regions_of_a_dead_primary_promote_and_replay() {
     setup.commit().unwrap();
     engine.quiesce();
 
-    // Early-acked writes from *different* coordinators (so neither is drained
-    // by a later `begin` on the same engine): both commits are acknowledged,
-    // but their COMMIT-PRIMARY installs are still pending at the victim.
+    // Early-acked writes from *different* coordinators (so neither's
+    // watermark rides the other's verbs): both commits are acknowledged,
+    // and each backup to be promoted still holds its untruncated redo
+    // record, which only the promotion can apply to its replica.
     let coordinators = [NodeId(0), NodeId(2)];
     for (i, &addr) in addrs.iter().enumerate() {
         let node = engine.node(coordinators[i]);
@@ -497,7 +492,22 @@ fn all_regions_of_a_dead_primary_promote_and_replay() {
         tx.write(addr, (7_000 + i as u64).to_le_bytes().to_vec())
             .unwrap();
         tx.commit().unwrap();
-        assert_eq!(node.pending_installs(), 1, "install must still be queued");
+    }
+    let view = engine.cluster().view();
+    for &addr in &addrs {
+        let backups = &view.placement.assignment(addr.region).unwrap().backups;
+        for &backup in backups.iter() {
+            let replica = engine.cluster().node(backup).regions().ensure(addr.region);
+            assert_eq!(
+                balance(&replica.slot(addr).unwrap().raw_data()),
+                0,
+                "{backup:?} already applied the write to {addr:?}"
+            );
+            assert!(
+                engine.node(backup).backup_log_len() >= 1,
+                "{backup:?} holds no untruncated redo entry"
+            );
+        }
     }
 
     // Prime the lease state, kill the victim, let the lease expire, and run

@@ -1,8 +1,7 @@
 //! Early-ack commit lifecycle tests: `commit` returns at the durability
-//! point (all COMMIT-BACKUP acks), COMMIT-PRIMARY installs drain in the
-//! background, readers that hit a still-locked slot of a durable
-//! transaction help complete the install, and the per-thread commit
-//! pipeline keeps several transactions in their critical paths at once.
+//! point (all COMMIT-BACKUP acks) with its COMMIT-PRIMARY installs already
+//! applied — posted, never awaited — and the per-thread commit pipeline
+//! keeps several transactions in their critical paths at once.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,9 +11,8 @@ use farm_kernel::ClusterConfig;
 use farm_memory::{Addr, RegionId};
 use farm_net::LatencyModel;
 
-/// An engine whose background thread cannot interfere with assertions about
-/// intermediate lifecycle states (installs stay pending until someone drains
-/// or helps).
+/// An engine whose background thread (GC passes, idle truncation flushes)
+/// cannot interfere with assertions about intermediate lifecycle states.
 fn quiet_engine(config: EngineConfig) -> Arc<Engine> {
     let config = EngineConfig {
         gc_interval: Duration::from_secs(3600),
@@ -45,80 +43,61 @@ fn slot_of(engine: &Arc<Engine>, addr: Addr) -> farm_memory::SlotRef {
         .unwrap()
 }
 
+/// A commit to a remote primary returns with its install applied: under
+/// datacenter latency, with no `begin`, GC pass or truncation flush in
+/// between, the primary's slot is unlocked and holds the new version. The
+/// COMMIT-PRIMARY message is posted but never awaited, and the backups
+/// still hold the redo record that truncation will apply later.
 #[test]
-fn commit_returns_before_install_and_a_reader_helps() {
-    let engine = quiet_engine(EngineConfig::default());
+fn a_commit_returns_with_its_remote_install_applied() {
+    let engine = quiet_engine(EngineConfig {
+        latency: LatencyModel::datacenter(),
+        ..EngineConfig::default()
+    });
     let coordinator = engine.node(NodeId(0));
     let region = remote_region(&engine, NodeId(0));
 
     let mut setup = coordinator.begin();
     let addr = setup.alloc_in(region, vec![0u8; 64]).unwrap();
     setup.commit().unwrap();
-    coordinator.drain_pending_installs();
 
+    let before = coordinator.stats();
     let mut tx = coordinator.begin();
     tx.write(addr, vec![0xABu8; 64]).unwrap();
-    let info = tx.commit().unwrap();
-    let write_ts = info.write_ts.unwrap();
+    let write_ts = tx.commit().unwrap().write_ts.unwrap();
 
-    // Stage 1 ended: the commit reported success while the install is still
-    // pending — the slot is locked at the primary.
-    assert_eq!(coordinator.pending_installs(), 1);
-    assert!(
-        slot_of(&engine, addr).header_snapshot().locked,
-        "COMMIT-PRIMARY should not have landed yet"
-    );
-    let stats = coordinator.stats();
-    assert_eq!(stats.commits_rw, 2, "setup + measured commit");
-
-    // A reader on another machine (whose own backlog is empty) hits the
-    // locked slot and helps complete the install instead of backing off.
-    let reader_node = engine.node(NodeId(2));
-    let mut reader = reader_node.begin();
-    let value = reader.read(addr).unwrap();
-    assert_eq!(&value[..], &[0xABu8; 64], "helped read sees the new value");
-    assert!(
-        reader_node.stats().install_helps >= 1,
-        "the read should have helped the pending install"
-    );
-    let header = slot_of(&engine, addr).header_snapshot();
-    assert!(!header.locked, "helping completed the install");
+    let slot = slot_of(&engine, addr);
+    let header = slot.header_snapshot();
+    assert!(!header.locked, "the commit returned with its lock held");
     assert_eq!(header.ts, write_ts);
-
-    // The committing engine's drain finds nothing left to do.
-    assert_eq!(coordinator.drain_pending_installs(), 0);
-    assert_eq!(coordinator.pending_installs(), 0);
+    assert_eq!(&slot.raw_data()[..], &[0xABu8; 64]);
+    let stats = coordinator.stats().delta(&before);
+    assert_eq!(stats.commits_rw, 1);
+    assert_eq!(stats.primary_batches, 1, "COMMIT-PRIMARY was posted");
+    assert_eq!(stats.installs_background, 1, "one destination installed");
+    assert!(coordinator.truncation_watermark() >= write_ts);
+    let backups = engine
+        .cluster()
+        .view()
+        .placement
+        .assignment(region)
+        .unwrap()
+        .backups
+        .to_vec();
+    assert!(!backups.is_empty());
+    for backup in backups {
+        assert_eq!(
+            engine.node(backup).backup_log_len(),
+            1,
+            "{backup} should hold exactly the commit's redo record"
+        );
+    }
     engine.shutdown();
 }
 
-#[test]
-fn begin_drains_the_engines_own_backlog() {
-    let engine = quiet_engine(EngineConfig::default());
-    let node = engine.node(NodeId(0));
-    let region = remote_region(&engine, NodeId(0));
-
-    let mut setup = node.begin();
-    let addr = setup.alloc_in(region, vec![1u8; 16]).unwrap();
-    setup.commit().unwrap();
-
-    let mut tx = node.begin();
-    tx.write(addr, vec![2u8; 16]).unwrap();
-    tx.commit().unwrap();
-    assert_eq!(node.pending_installs(), 1);
-
-    // The next `begin` on the same engine is the opportunistic stage-2
-    // completion point: the backlog drains off the commit critical path.
-    let mut next = node.begin();
-    assert_eq!(node.pending_installs(), 0);
-    assert!(!slot_of(&engine, addr).header_snapshot().locked);
-    assert_eq!(next.read(addr).unwrap()[0], 2);
-    engine.shutdown();
-}
-
-/// Concurrent read-modify-write increments on one shared counter: helping
-/// keeps the counter exact even though every commit leaves its lock held
-/// until someone (the next beginner, a reader, a conflicting locker)
-/// completes the install.
+/// Concurrent read-modify-write increments on one shared counter from every
+/// machine stay exact: each commit installs and unlocks before it returns,
+/// and a reader or locker that meets a lock meets a commit in flight.
 #[test]
 fn concurrent_increments_stay_exact_under_helping() {
     let engine = quiet_engine(EngineConfig::default());
@@ -126,7 +105,6 @@ fn concurrent_increments_stay_exact_under_helping() {
     let mut setup = node0.begin();
     let counter = setup.alloc(0u64.to_le_bytes().to_vec()).unwrap();
     setup.commit().unwrap();
-    node0.drain_pending_installs();
 
     const THREADS: usize = 4;
     const INCREMENTS: usize = 50;
@@ -179,7 +157,7 @@ fn concurrent_increments_stay_exact_under_helping() {
 /// Blind writes (`Transaction::overwrite`) lock at whatever version is
 /// installed: no read on the execution path, no validation entry, and never
 /// a `VersionChanged` abort — two back-to-back blind writers both commit,
-/// the second helping the first's pending install at its LOCK.
+/// the second locking at the version the first installed.
 #[test]
 fn blind_overwrite_commits_without_reading() {
     let engine = quiet_engine(EngineConfig::default());
@@ -188,16 +166,14 @@ fn blind_overwrite_commits_without_reading() {
     let mut setup = node.begin();
     let addr = setup.alloc_in(region, vec![0u8; 16]).unwrap();
     setup.commit().unwrap();
-    node.drain_pending_installs();
 
     let mut t1 = node.begin();
     t1.overwrite(addr, vec![1u8; 16]).unwrap();
     assert_eq!(t1.reads(), 0, "blind write performs no read");
     let ts1 = t1.commit().unwrap().write_ts.unwrap();
 
-    // The second blind writer runs before t1's install landed: its LOCK
-    // conflicts with the durable pending install, helps it, and then locks
-    // blind at t1's version — no spurious abort.
+    // The second blind writer, from another machine, locks blind at t1's
+    // version — no spurious abort.
     let reader_node = engine.node(NodeId(2));
     let mut t2 = reader_node.begin();
     t2.overwrite(addr, vec![2u8; 16]).unwrap();
@@ -272,8 +248,8 @@ fn pipeline_handles_read_only_and_aborting_transactions() {
     ro.read(addr).unwrap();
     pipeline.submit(ro);
     // A conflicting write: the transaction reads first (while unlocked),
-    // then another committer's lock appears. Helping finds no durable
-    // owner, so the pipelined commit aborts on the lock conflict.
+    // then another committer's lock appears, so the pipelined commit aborts
+    // on the lock conflict.
     let mut conflicted = node.begin();
     conflicted.read(addr).unwrap();
     let slot = slot_of(&engine, addr);
@@ -327,7 +303,6 @@ fn pipeline_overlaps_flight_windows_under_latency() {
         .map(|_| setup.alloc_in(region, vec![0u8; 16]).unwrap())
         .collect();
     setup.commit().unwrap();
-    node.drain_pending_installs();
 
     const N: usize = 40;
     // Serial: one synchronous commit at a time — pays `Σ phase latencies`

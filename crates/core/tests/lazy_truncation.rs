@@ -1,8 +1,8 @@
 //! Lazy (piggybacked) truncation tests: TRUNCATE is never a standalone
 //! message under commit traffic, watermarks flush on idle and never regress,
 //! an abort-unwind cannot lose an earlier transaction's truncate, and a
-//! primary killed between the early ack and COMMIT-PRIMARY loses nothing —
-//! the promoted backup replays its untruncated redo log.
+//! primary killed before its COMMIT-PRIMARY applies loses nothing — the
+//! promoted backup replays its untruncated redo log.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,7 +10,7 @@ use std::time::Duration;
 use farm_core::{Engine, EngineConfig, NodeId, TxError};
 use farm_kernel::ClusterConfig;
 use farm_memory::{Addr, RegionId};
-use farm_net::Verb;
+use farm_net::{LatencyModel, Verb};
 
 /// An engine whose background flusher cannot race the assertions.
 fn quiet_engine(nodes: usize, config: EngineConfig) -> Arc<Engine> {
@@ -65,8 +65,8 @@ fn steady_traffic_piggybacks_every_truncation() {
     let net_before = node.handle().stats().snapshot();
     let mut last_ts = 0;
     for round in 1..=10u8 {
-        // Each `begin` drains the previous commit's install, raising the
-        // watermark; each commit's LOCK verb piggybacks it.
+        // Each commit raises the watermark as it installs; the next
+        // commit's LOCK verb piggybacks it.
         let mut tx = node.begin();
         tx.write(addr, vec![round; 32]).unwrap();
         last_ts = tx.commit().unwrap().write_ts.unwrap();
@@ -111,7 +111,6 @@ fn idle_watermarks_flush_and_never_regress() {
     let mut tx = node.begin();
     tx.write(addr, vec![9u8; 32]).unwrap();
     let write_ts = tx.commit().unwrap().write_ts.unwrap();
-    node.drain_pending_installs();
     let w1 = node.truncation_watermark();
     assert!(w1 >= write_ts, "watermark covers the installed commit");
 
@@ -139,7 +138,6 @@ fn idle_watermarks_flush_and_never_regress() {
         let mut tx = node.begin();
         tx.write(addr, vec![round; 32]).unwrap();
         tx.commit().unwrap();
-        node.drain_pending_installs();
         let w = node.truncation_watermark();
         assert!(w >= last, "watermark regressed: {w} < {last}");
         last = w;
@@ -159,14 +157,12 @@ fn abort_unwind_does_not_lose_an_earlier_truncate() {
     let x = setup.alloc_in(region, vec![0u8; 32]).unwrap();
     let y = setup.alloc(vec![0u8; 16]).unwrap();
     setup.commit().unwrap();
-    node0.drain_pending_installs();
 
     // T1 commits x and installs; its truncate is pending (watermark raised,
     // nothing delivered — no outgoing traffic since).
     let mut t1 = node0.begin();
     t1.write(x, vec![0x5Au8; 32]).unwrap();
     let t1_ts = t1.commit().unwrap().write_ts.unwrap();
-    node0.drain_pending_installs();
     let w1 = node0.truncation_watermark();
     assert!(w1 >= t1_ts);
 
@@ -198,15 +194,19 @@ fn abort_unwind_does_not_lose_an_earlier_truncate() {
     engine.shutdown();
 }
 
-/// The satellite fault-injection case: a primary dies after the coordinator
-/// early-acked (commit returned) but before COMMIT-PRIMARY landed. The
-/// committed value must survive via the promoted backup's redo log — and a
-/// reader must never observe a torn install.
+/// A primary dies after the commit locked it and before COMMIT-PRIMARY
+/// applies there. The commit still reports success at the last
+/// COMMIT-BACKUP ack and skips the dead primary's install, so the value
+/// must survive through the promoted backup's redo log — and a reader must
+/// never observe a torn install. A depth-1 pipeline under datacenter
+/// latency parks the commit with its LOCK in flight, which places the kill
+/// inside that window on every run.
 #[test]
 fn primary_killed_between_early_ack_and_install_loses_nothing() {
     let mut cluster_cfg = ClusterConfig::test(4);
     cluster_cfg.lease_expiry = Duration::from_millis(1);
     let config = EngineConfig {
+        latency: LatencyModel::datacenter(),
         gc_interval: Duration::from_secs(3600),
         ..EngineConfig::default()
     };
@@ -214,33 +214,58 @@ fn primary_killed_between_early_ack_and_install_loses_nothing() {
     let node0 = engine.node(NodeId(0));
 
     // A region whose primary is node 1.
+    let victim = NodeId(1);
     let view = engine.cluster().view();
     let region = view
         .placement
-        .primaries_of(NodeId(1))
+        .primaries_of(victim)
         .next()
         .expect("node 1 hosts a primary");
     let original_replicas = view.placement.assignment(region).unwrap().replicas();
     let mut setup = node0.begin();
     let addr = setup.alloc_in(region, vec![0x11u8; 64]).unwrap();
-    setup.commit().unwrap();
+    let setup_ts = setup.commit().unwrap().write_ts.unwrap();
     engine.quiesce(); // baseline value mirrored everywhere
 
-    // The measured transaction: commit returns at the durability point; the
-    // install is left pending (no drain — the background thread is quiet).
+    // The measured transaction, parked with its LOCK in flight: the
+    // primary holds the lock.
+    let mut pipeline = node0.pipeline(1);
     let mut tx = node0.begin();
     tx.write(addr, vec![0xEEu8; 64]).unwrap();
-    let write_ts = tx.commit().unwrap().write_ts.unwrap();
-    assert_eq!(node0.pending_installs(), 1);
+    pipeline.submit(tx);
+    assert_eq!(pipeline.in_flight(), 1, "the commit is on the wire");
+    let old_slot = engine
+        .cluster()
+        .node(victim)
+        .regions()
+        .ensure(region)
+        .slot(addr)
+        .unwrap();
+    assert!(old_slot.header_snapshot().locked, "LOCK already ran");
 
-    // Kill the primary before COMMIT-PRIMARY lands, and reconfigure.
-    engine.cluster().kill(NodeId(1));
+    // Kill the primary, then let the commit finish: every backup acks, so
+    // it is durable, and the dead primary's install is skipped.
+    engine.cluster().kill(victim);
+    let results = pipeline.drain();
+    let write_ts = results[0]
+        .as_ref()
+        .expect("durable at every backup")
+        .write_ts
+        .unwrap();
+    assert_eq!(
+        old_slot.header_snapshot().ts,
+        setup_ts,
+        "the dead primary installed"
+    );
+    assert!(node0.truncation_watermark() >= write_ts);
+
+    // Reconfigure: a backup is promoted.
     std::thread::sleep(Duration::from_millis(3));
     for _ in 0..6 {
         engine.cluster().control_round();
     }
     let new_primary = engine.cluster().primary_of(region).unwrap();
-    assert_ne!(new_primary, NodeId(1), "a backup was promoted");
+    assert_ne!(new_primary, victim, "a backup was promoted");
 
     // The committed value is visible at the promoted primary — recovered
     // from its untruncated redo log — and is never torn: the payload is
@@ -253,16 +278,14 @@ fn primary_killed_between_early_ack_and_install_loses_nothing() {
         "committed value lost or torn after primary failure"
     );
     assert_eq!(replica_ts(&engine, new_primary, addr), write_ts);
+    drop(reader);
 
-    // Draining the dead-primary install is a no-op, not a crash, and the
-    // truncation watermark still rises so the *other* surviving backup is
-    // brought up to date too.
-    node0.drain_pending_installs();
-    assert!(node0.truncation_watermark() >= write_ts);
+    // The truncation watermark brings the *other* surviving backup up to
+    // date too.
     engine.quiesce();
     // Only the replicas that held the region at commit time carry the redo
     // log; a fresh re-replication backup catches up by paced copy instead.
-    for &replica in original_replicas.iter().filter(|&&r| r != NodeId(1)) {
+    for &replica in original_replicas.iter().filter(|&&r| r != victim) {
         assert_eq!(
             replica_ts(&engine, replica, addr),
             write_ts,
@@ -272,13 +295,11 @@ fn primary_killed_between_early_ack_and_install_loses_nothing() {
     engine.shutdown();
 }
 
-/// `Engine::quiesce` is a barrier against the engine's own background drain:
-/// a chunk of installs the background thread has claimed but not finished
-/// applying still counts as pending, so quiesce waits for it instead of
-/// delivering a stale watermark and leaving a redo-log entry behind. Each
-/// round begins all its transactions before committing any, so no `begin`
-/// drains between the commits and the (almost continuously running)
-/// background thread is the one applying installs when quiesce is called.
+/// `Engine::quiesce` settles every backup log after a burst of commits,
+/// while the engine's (almost continuously running) background thread
+/// flushes truncation watermarks beside it: each round begins all its
+/// transactions before committing any, and quiesce must leave no redo-log
+/// entry behind.
 #[test]
 fn quiesce_is_a_barrier_against_the_background_drain() {
     const TXS_PER_ROUND: usize = 8;
@@ -318,8 +339,8 @@ fn quiesce_is_a_barrier_against_the_background_drain() {
         engine.quiesce();
         for n in engine.nodes() {
             assert_eq!(
-                (n.pending_installs(), n.backup_log_len()),
-                (0, 0),
+                n.backup_log_len(),
+                0,
                 "round {round}: {:?} not settled after quiesce",
                 n.id()
             );

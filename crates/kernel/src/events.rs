@@ -56,16 +56,6 @@ pub enum EventKind {
         /// How many regions were unblocked.
         count: usize,
     },
-    /// Survivors resolved the in-flight transactions a dead coordinator left
-    /// behind: decided (early-acked) transactions were rolled forward from
-    /// the replicated redo logs and the coordinator's truncation watermark
-    /// was force-delivered.
-    OrphansRecovered {
-        /// The dead coordinator.
-        coordinator: NodeId,
-        /// Decided transactions rolled forward (locks released).
-        rolled_forward: usize,
-    },
     /// A freshly re-replicated backup was caught up from the untruncated
     /// redo logs (commits that raced the state copy).
     LogCatchUp {

@@ -50,7 +50,7 @@ pub mod view;
 pub use cluster::{Cluster, ClusterConfig, NoHooks, RecoveryHooks};
 pub use config::{ConfigRecord, ConfigStore};
 pub use events::{ClusterEvent, EventKind, EventLog};
-pub use node::{NodeHandle, NodeRole};
+pub use node::NodeHandle;
 pub use placement::{Placement, RegionAssignment};
 pub use view::ClusterView;
 

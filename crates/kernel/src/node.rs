@@ -8,15 +8,6 @@ use farm_clock::NodeClock;
 use farm_memory::{OldVersionStore, RegionStore};
 use farm_net::{NetStats, NodeId};
 
-/// The role a node plays in the current configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeRole {
-    /// Configuration manager (and clock master).
-    ConfigManager,
-    /// Ordinary member.
-    Member,
-}
-
 /// Callback with which the transaction engine reports the read timestamp of
 /// the oldest transaction currently executing with this node as coordinator
 /// (`None` when there are no active transactions).

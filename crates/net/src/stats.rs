@@ -36,7 +36,7 @@ impl Verb {
 
 /// Protocol phases whose wall-clock cost the engine reports per message
 /// burst. The first four mirror the commit driver's state machine,
-/// `InstallPrimary` times one destination's background install, and the
+/// `InstallPrimary` times one destination's COMMIT-PRIMARY install, and the
 /// last covers the batched execution-phase read path. Keeping the label set
 /// here (next to [`Verb`]) lets the fan-out vs serial cost of each phase be
 /// observed from network statistics alone, without a profiler.
@@ -51,7 +51,8 @@ pub enum PhaseLabel {
     Validate,
     /// COMMIT-BACKUP replication (absorbs the deferred uncertainty wait).
     ReplicateBackups,
-    /// COMMIT-PRIMARY installs (one destination, drained or helped).
+    /// COMMIT-PRIMARY installs (one destination, applied when the message
+    /// is posted).
     InstallPrimary,
     /// The execution-phase `read_many` fan-out (absorbs what is left of a
     /// strict transaction's read-timestamp wait when it is the first read).

@@ -140,11 +140,8 @@ impl TpccDatabase {
             new_orders: BTree::create(engine, NodeId(0)),
             order_lines: BTree::create(engine, NodeId(0)),
         };
-        // Each load transaction runs under `run_transaction`: a put that
-        // reads a slot still locked by the previous load transaction's
-        // pending install, claimed by a descheduled background drain,
-        // aborts retryably (`ReadLockedObject`) and is retried instead of
-        // failing the load.
+        // Each load transaction runs under `run_transaction`, so a
+        // retryable abort is retried instead of failing the load.
         let opts = TxOptions::default();
         // Item catalog.
         engine.node(NodeId(0)).run_transaction(opts, |tx| {
